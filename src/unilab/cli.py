@@ -23,16 +23,23 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .errors import ExpressionSyntaxError, UnilabError, UnknownIdentifierError
+from .errors import (
+    ExpressionCompileError,
+    ExpressionSyntaxError,
+    UnilabError,
+    UnknownIdentifierError,
+    raise_first,
+)
+from .expressions import compile_expr, diff
 from .expressions import parse as parse_expr
 from .fields import AnalyticFrameField, AnalyticVectorField, BodyDomain, SampledFrameField
 from .foliation import (
-    CONSTANT_M_FRACTION,
-    FoliationClass,
-    _CLASS_BY_DIM,
+    LatticeDefect,
+    classify_m_counts,
+    lattice_defect,
     report_to_csv,
     report_to_dict,
-    scan_domain,
+    scan_defect,
 )
 from .double_groupoid import (
     MaterialDoubleGroupoid,
@@ -47,9 +54,9 @@ from .double_groupoid import (
     square_from_dict,
 )
 from .groupoid import FiniteGroupoid, PointSet, from_frame_field, groupoid_from_dict, is_transitive
-from .infinitesimal import infinitesimal_classification
-from .linalg3 import kernel_of_flattened
-from .measures import CompositeSpec, SymmetryCase, evaluate_measure
+from .infinitesimal import KINDS, classify_stack
+from .linalg3 import max_abs
+from .measures import CompositeSpec, MeasureResult, SymmetryCase, evaluate_measure_stack
 
 TASKS = ("measure", "foliate", "squares", "misalign", "infinitesimal")
 
@@ -200,10 +207,18 @@ _TASKS_NEEDING_POINTS = {"squares", "misalign"}
 
 
 def _expression_diagnostics(path: str, text: str) -> list[str]:
+    # The lattice tasks compile the first derivatives too, and a derivative
+    # nests deeper than its expression.
     try:
-        parse_expr(text)
-    except (ExpressionSyntaxError, UnknownIdentifierError) as exc:
+        e = parse_expr(text)
+        compile_expr(e)
+    except (ExpressionSyntaxError, ExpressionCompileError, UnknownIdentifierError) as exc:
         return [f"{path}: {exc}"]
+    for k in (1, 2, 3):
+        try:
+            compile_expr(diff(e, k))
+        except ExpressionCompileError as exc:
+            return [f"{path}: derivative along x{k}: {exc}"]
     return []
 
 
@@ -361,6 +376,15 @@ class _Context:
         return BodyDomain(tuple(dom["lower"]), tuple(dom["upper"]), tuple(dom["resolution"]))
 
     @cached_property
+    def lattice(self) -> np.ndarray:
+        return self.domain.lattice()
+
+    @cached_property
+    def defect(self) -> LatticeDefect:
+        """The case-1 defect and its kernel on the lattice, read by every lattice task."""
+        return lattice_defect(self.composite, self.lattice, self.rank_rel_tol)
+
+    @cached_property
     def points(self) -> PointSet:
         return PointSet.from_pairs((p["id"], p["coords"]) for p in self.config["points"])
 
@@ -403,14 +427,6 @@ class _Context:
         return MaterialDoubleGroupoid(side_h, side_v, squares, self.commutation_tol, check=False)
 
 
-def _classify_counts(m_counts: list[int]) -> str:
-    total = sum(m_counts)
-    top = int(np.argmax(m_counts))
-    if total and m_counts[top] >= CONSTANT_M_FRACTION * total:
-        return _CLASS_BY_DIM[top].value
-    return FoliationClass.SINGULAR.value
-
-
 # ---------------------------------------------------------------------------
 # Tasks
 # ---------------------------------------------------------------------------
@@ -418,42 +434,34 @@ def _classify_counts(m_counts: list[int]) -> str:
 
 def _task_measure(ctx: _Context) -> dict:
     composite = ctx.composite
-    lattice = ctx.domain.lattice()
     case = composite.case_number
-    max_abs = 0.0
-    total_abs = 0.0
-    m_counts = [0, 0, 0, 0]
-    bhat_max = 0.0
-    delta_max = 0.0
-    for point in lattice:
-        result = evaluate_measure(composite, point)
-        value = float(np.max(np.abs(result.B)))
-        max_abs = max(max_abs, value)
-        total_abs += value
-        if case == 1:
-            m_counts[kernel_of_flattened(result.B, ctx.rank_rel_tol).dimension] += 1
-        if result.b_hat is not None:
-            bhat_max = max(bhat_max, float(np.max(np.abs(result.b_hat))))
-        if result.angle_defect is not None:
-            delta_max = max(delta_max, abs(result.angle_defect))
+    if case == 1:
+        result, failures = MeasureResult(1, ctx.defect.b), ctx.defect.failures
+    else:
+        result, failures = evaluate_measure_stack(composite, ctx.lattice)
+    raise_first(failures)
+    per_node = max_abs(result.B)
     block = {
         "case": composite.symmetry_case.value,
-        "n_nodes": len(lattice),
-        "max_abs_B": max_abs,
-        "mean_abs_B": total_abs / len(lattice),
+        "n_nodes": len(per_node),
+        "max_abs_B": float(np.max(per_node)),
+        # A running sum in lattice order, so the last digit never depends on
+        # how numpy would pair the terms.
+        "mean_abs_B": float(np.cumsum(per_node)[-1]) / len(per_node),
     }
     if case == 1:
-        block["m_counts"] = {str(m): m_counts[m] for m in range(4)}
-        block["class"] = _classify_counts(m_counts)
+        m_counts = np.bincount(ctx.defect.m, minlength=4)
+        block["m_counts"] = {str(m): int(m_counts[m]) for m in range(4)}
+        block["class"] = classify_m_counts(m_counts).value
     if case == 3:
-        block["max_abs_director_gradient"] = bhat_max
+        block["max_abs_director_gradient"] = float(np.max(max_abs(result.b_hat)))
     if case == 5:
-        block["max_abs_angle_defect"] = delta_max
+        block["max_abs_angle_defect"] = float(np.max(np.abs(result.angle_defect)))
     return block
 
 
 def _task_foliate(ctx: _Context) -> dict:
-    report = scan_domain(ctx.composite, ctx.domain, ctx.rank_rel_tol)
+    report = scan_defect(ctx.composite, ctx.defect)
     ctx.foliation_report = report
     return report_to_dict(report)
 
@@ -531,24 +539,21 @@ def _task_misalign(ctx: _Context) -> dict:
 
 
 def _task_infinitesimal(ctx: _Context) -> dict:
-    composite = ctx.composite
-    lattice = ctx.domain.lattice()
-    kind_counts: dict[str, int] = {}
-    m_counts = [0, 0, 0, 0]
-    nodes = []
-    for point in lattice:
-        result = infinitesimal_classification(composite, point, ctx.rank_rel_tol)
-        kind_counts[result.kind.value] = kind_counts.get(result.kind.value, 0) + 1
-        m_counts[result.m] += 1
-        nodes.append(
-            {"x": [float(c) for c in point], "kind": result.kind.value, "m": result.m}
-        )
+    defect = ctx.defect
+    raise_first(defect.failures)
+    kinds, ms, _ = classify_stack(defect.gamma1_max, defect.gamma2_max, defect.sigma, defect.m)
+    names = [kind.value for kind in KINDS]
+    kind_counts = np.bincount(kinds, minlength=len(KINDS))
+    m_counts = np.bincount(ms, minlength=4)
     return {
-        "n_nodes": len(lattice),
-        "kind_counts": kind_counts,
-        "m_counts": {str(m): m_counts[m] for m in range(4)},
+        "n_nodes": len(ms),
+        "kind_counts": {names[k]: int(c) for k, c in enumerate(kind_counts) if c},
+        "m_counts": {str(m): int(m_counts[m]) for m in range(4)},
         "m_mode": int(np.argmax(m_counts)),
-        "nodes": nodes,
+        "nodes": [
+            {"x": x, "kind": names[k], "m": m}
+            for x, k, m in zip(defect.points.tolist(), kinds.tolist(), ms.tolist())
+        ],
     }
 
 

@@ -26,6 +26,10 @@ class ExpressionSyntaxError(UnilabError):
         self.message = message
 
 
+class ExpressionCompileError(UnilabError):
+    """Expression (or one of its derivatives) nests too deeply for Python to compile."""
+
+
 class UnknownIdentifierError(UnilabError):
     """Identifier outside the x1/x2/x3, pi/e, function whitelist."""
 
@@ -89,3 +93,25 @@ class ScanFailedError(UnilabError):
 
 class ConfigError(UnilabError):
     """Analysis configuration is structurally or semantically invalid."""
+
+
+# ---------------------------------------------------------------------------
+# Per-node failures of stacked computations
+# ---------------------------------------------------------------------------
+#
+# A computation over an (N, 3) stack of points returns, next to its arrays,
+# a dict mapping each failing node index to the error that the per-point
+# route raises there: the first one, in the order the per-point route
+# performs its steps.
+
+
+def merge_failures(failures: dict, later: dict) -> None:
+    """Add the failures of a later step for nodes that did not fail before it."""
+    for node, exc in later.items():
+        failures.setdefault(node, exc)
+
+
+def raise_first(failures: dict) -> None:
+    """Raise the error of the lowest failing node, if any node failed."""
+    if failures:
+        raise failures[min(failures)]

@@ -18,12 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
+
+import numpy as np
 
 from .errors import (
     EvaluationDomainError,
+    ExpressionCompileError,
     ExpressionSyntaxError,
     NonFiniteError,
+    UnilabError,
     UnknownIdentifierError,
 )
 
@@ -408,36 +413,74 @@ def _diff(e: ScalarExpr, axis: int) -> ScalarExpr:
 # ---------------------------------------------------------------------------
 # Compilation (fast repeated evaluation on lattices)
 # ---------------------------------------------------------------------------
+#
+# Compiled source names its functions and non-finite constants; the
+# namespace it runs in binds them either to the math module (one point at
+# a time) or to numpy ufuncs (whole coordinate arrays at once). Both run
+# the same operations in the same order, so they agree up to the rounding
+# of the library functions themselves.
+
+_SCALAR_NAMESPACE = {"pow": math.pow, **FUNCTIONS}
+_ARRAY_NAMESPACE = {
+    "pow": np.power,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+}
+for _namespace in (_SCALAR_NAMESPACE, _ARRAY_NAMESPACE):
+    _namespace.update({"inf": math.inf, "nan": math.nan, "__builtins__": {}})
+
+_BINARY = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}
+_UNARY_LEVEL = 3
+_ATOM_LEVEL = 4
 
 
-def to_python_source(e: ScalarExpr) -> str:
+def to_python_source(e: ScalarExpr, context: int = 0) -> str:
+    """Python source for the tree, with only the parentheses its shape needs.
+
+    context is the binding level the surrounding operator requires. Binary
+    operators are left-associative in Python as in the tree, so a right
+    operand of equal precedence keeps its parentheses and the parsed
+    source has exactly the tree's operations in the tree's order.
+    """
+    level = _ATOM_LEVEL
     if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Const):
-        return f"math.{e.name}" if e.name == "pi" else "math.e"
-    if isinstance(e, Var):
-        return f"x{e.axis}"
-    if isinstance(e, Neg):
-        return f"(-{to_python_source(e.arg)})"
-    if isinstance(e, Add):
-        return f"({to_python_source(e.lhs)}+{to_python_source(e.rhs)})"
-    if isinstance(e, Sub):
-        return f"({to_python_source(e.lhs)}-{to_python_source(e.rhs)})"
-    if isinstance(e, Mul):
-        return f"({to_python_source(e.lhs)}*{to_python_source(e.rhs)})"
-    if isinstance(e, Div):
-        return f"({to_python_source(e.lhs)}/{to_python_source(e.rhs)})"
-    if isinstance(e, Pow):
-        return f"math.pow({to_python_source(e.base)}, {to_python_source(e.exponent)})"
-    if isinstance(e, Call):
-        return f"math.{e.fn}({to_python_source(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+        text = repr(e.value)
+        if text.startswith("-"):
+            level = _UNARY_LEVEL
+    elif isinstance(e, Const):
+        text = repr(CONSTANTS[e.name])
+    elif isinstance(e, Var):
+        text = f"x{e.axis}"
+    elif isinstance(e, Neg):
+        level = _UNARY_LEVEL
+        text = "-" + to_python_source(e.arg, _UNARY_LEVEL)
+    elif isinstance(e, (Add, Sub, Mul, Div)):
+        symbol, level = _BINARY[type(e)]
+        text = to_python_source(e.lhs, level) + symbol + to_python_source(e.rhs, level + 1)
+    elif isinstance(e, Pow):
+        text = f"pow({to_python_source(e.base)}, {to_python_source(e.exponent)})"
+    elif isinstance(e, Call):
+        text = f"{e.fn}({to_python_source(e.arg)})"
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    return f"({text})" if level < context else text
+
+
+def _compile(source: str, filename: str, mode: str):
+    try:
+        return compile(source, filename, mode)
+    except SyntaxError as exc:  # nesting beyond the limits of Python's parser
+        raise ExpressionCompileError(f"cannot compile expression: {exc.msg}") from None
 
 
 def compile_expr(e: ScalarExpr) -> Callable[[float, float, float], float]:
     """Compile to a plain (x1, x2, x3) -> float callable."""
     source = f"lambda x1, x2, x3: {to_python_source(e)}"
-    return eval(compile(source, "<scalar-expr>", "eval"), {"math": math, "__builtins__": {}})
+    return eval(_compile(source, "<scalar-expr>", "eval"), _SCALAR_NAMESPACE)
 
 
 def call_compiled(fn, point) -> float:
@@ -451,3 +494,57 @@ def call_compiled(fn, point) -> float:
     if not math.isfinite(value):
         raise NonFiniteError(f"expression evaluated to {value!r}")
     return value
+
+
+class ExpressionStack:
+    """Several expressions compiled into one function over coordinate arrays."""
+
+    def __init__(self, exprs):
+        self.exprs = tuple(exprs)
+
+    @cached_property
+    def _array_fn(self):
+        # A bare return tuple adds no nesting level to the entries' own.
+        body = ", ".join(to_python_source(e) for e in self.exprs)
+        source = f"def stack(x1, x2, x3):\n    return {body},\n"
+        namespace = dict(_ARRAY_NAMESPACE)
+        exec(_compile(source, "<expr-stack>", "exec"), namespace)
+        return namespace["stack"]
+
+    @cached_property
+    def scalar_fns(self):
+        """The expressions compiled one by one for call_compiled."""
+        return tuple(compile_expr(e) for e in self.exprs)
+
+    def evaluate(self, points: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Values (N, K) of the K expressions at the rows of an (N, 3) array.
+
+        Returns (values, failures), failures mapping a node index to the
+        error call_compiled raises there at its first failing expression.
+        One numpy pass computes every node. Nodes it cannot vouch for are
+        evaluated again one at a time through call_compiled: nodes with a
+        non-finite value, or every node when numpy flags a division by
+        zero, an overflow or an invalid operation anywhere (an infinite
+        intermediate may turn finite again, where math raises). A single
+        point goes through call_compiled directly, which is faster than
+        a numpy pass for one node.
+        """
+        n = len(points)
+        values = np.empty((n, len(self.exprs)))
+        suspects = range(n)
+        if n > 1:
+            try:
+                with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                    for k, column in enumerate(self._array_fn(*points.T)):
+                        values[:, k] = column
+                # A row sum is non-finite when any entry is (or, harmlessly, overflows).
+                suspects = np.flatnonzero(~np.isfinite(values.sum(axis=1))).tolist()
+            except ArithmeticError:
+                pass
+        failures = {}
+        for node in suspects:
+            try:
+                values[node] = [call_compiled(fn, points[node]) for fn in self.scalar_fns]
+            except UnilabError as exc:
+                failures[node] = exc
+        return values, failures

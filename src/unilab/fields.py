@@ -6,6 +6,16 @@ differentiate exactly; sampled variants hold per-node matrices on a
 regular grid and differentiate with 2nd-order finite differences
 (one-sided 2nd-order stencils at boundary nodes). Sampled fields are
 node-based: evaluation snaps to the nearest grid node.
+
+Every field evaluates whole point stacks: value_stack and jet_stack take
+an (N, 3) array and return (N, ...) arrays plus a dict of per-node
+failures (see errors.merge_failures). Analytic entries run as one numpy
+pass over the coordinate arrays (a single point through the math
+module); sampled fields look up all nodes at once. Rows of failing
+nodes hold placeholders (the identity frame, zero vectors and
+derivatives) so that later array steps stay finite. The per-point value
+and jet are the same computation on a stack of one point, raising that
+point's error.
 """
 from __future__ import annotations
 
@@ -16,8 +26,17 @@ from typing import Union
 import numpy as np
 
 from . import expressions as ex
-from .errors import NonFiniteError, OutOfDomainError, SingularFrameError
-from .linalg3 import Mat3, Vec3, as_mat3, as_vec3, singular_tolerance
+from .errors import NonFiniteError, OutOfDomainError, SingularFrameError, merge_failures
+from .linalg3 import (
+    Mat3,
+    Vec3,
+    as_mat3,
+    as_points,
+    as_vec3,
+    at_point,
+    fill_rows,
+    singular_tolerance,
+)
 
 
 @dataclass(frozen=True)
@@ -72,6 +91,25 @@ def _parse_grid(rows, shape) -> tuple:
     return parsed
 
 
+_IDENTITY = np.eye(3)
+
+
+def _guard_frames(frames: np.ndarray, points: np.ndarray, failures: dict) -> np.ndarray:
+    """Record singular frames as failures; put the identity at every failing node."""
+    fill_rows(frames, failures, _IDENTITY)
+    # A scale whose cube overflows gives an infinite guard: singular.
+    with np.errstate(over="ignore"):
+        tolerance = singular_tolerance(frames)
+    singular = np.flatnonzero(np.abs(np.linalg.det(frames)) <= tolerance).tolist()
+    for node in singular:
+        failures[node] = _singular_frame(points[node])
+    return fill_rows(frames, singular, _IDENTITY)
+
+
+def _singular_frame(point: np.ndarray) -> SingularFrameError:
+    return SingularFrameError(f"frame is singular at {point.tolist()}")
+
+
 @dataclass(frozen=True)
 class AnalyticFrameField:
     """3x3 grid of scalar expressions; row index is the body leg, column the archetype leg."""
@@ -92,14 +130,13 @@ class AnalyticFrameField:
         return cls.from_matrix(np.eye(3))
 
     @cached_property
-    def _value_fns(self):
-        return tuple(tuple(ex.compile_expr(e) for e in row) for row in self.entries)
+    def _values(self) -> ex.ExpressionStack:
+        return ex.ExpressionStack(e for row in self.entries for e in row)
 
     @cached_property
-    def _deriv_fns(self):
-        return tuple(
-            tuple(tuple(ex.compile_expr(ex.diff(e, k)) for k in (1, 2, 3)) for e in row)
-            for row in self.entries
+    def _derivs(self) -> ex.ExpressionStack:
+        return ex.ExpressionStack(
+            ex.diff(e, k) for row in self.entries for e in row for k in (1, 2, 3)
         )
 
     @cached_property
@@ -129,28 +166,34 @@ class AnalyticFrameField:
             inv.append(tuple(row))
         return tuple(inv)
 
-    def value(self, point) -> Mat3:
-        p = as_vec3(point)
-        fns = self._value_fns
-        out = np.array(
-            [[ex.call_compiled(fns[i][j], p) for j in range(3)] for i in range(3)]
+    @cached_property
+    def inverse_derivative_fns(self):
+        """Compiled d Pinv^a_J / d x<k+1>, indexed [a][j][k], for the cross-check route."""
+        return tuple(
+            tuple(tuple(ex.compile_expr(ex.diff(e, k)) for k in (1, 2, 3)) for e in row)
+            for row in self.inverse_entries
         )
-        if abs(float(np.linalg.det(out))) <= singular_tolerance(out):
-            raise SingularFrameError(f"frame is singular at {p.tolist()}")
-        return out
+
+    def value_stack(self, points) -> tuple[np.ndarray, dict]:
+        """P at every row of an (N, 3) point array, and the per-node failures."""
+        points = as_points(points)
+        values, failures = self._values.evaluate(points)
+        return _guard_frames(values.reshape(-1, 3, 3), points, failures), failures
+
+    def jet_stack(self, points) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(P, dP, failures) with dP[n, i, a, k] the derivative of P[i, a] along x<k+1>."""
+        points = as_points(points)
+        value, failures = self.value_stack(points)
+        deriv, deriv_failures = self._derivs.evaluate(points)
+        merge_failures(failures, deriv_failures)
+        return value, fill_rows(deriv.reshape(-1, 3, 3, 3), failures, 0.0), failures
+
+    def value(self, point) -> Mat3:
+        return at_point(point, self.value_stack)[0]
 
     def jet(self, point) -> tuple[Mat3, np.ndarray]:
         """Return (P, dP) with dP[i, a, k] the derivative of P[i, a] along x<k+1>."""
-        p = as_vec3(point)
-        value = self.value(p)
-        dfns = self._deriv_fns
-        deriv = np.array(
-            [
-                [[ex.call_compiled(dfns[i][j][k], p) for k in range(3)] for j in range(3)]
-                for i in range(3)
-            ]
-        )
-        return value, deriv
+        return at_point(point, self.jet_stack)
 
     def right_multiplied(self, c: Mat3) -> "AnalyticFrameField":
         """Analytic field for X -> P(X) @ C with a constant matrix C."""
@@ -186,27 +229,32 @@ class AnalyticVectorField:
         return cls(tuple(ex.Num(float(c)) for c in v))
 
     @cached_property
-    def _value_fns(self):
-        return tuple(ex.compile_expr(e) for e in self.components)
+    def _values(self) -> ex.ExpressionStack:
+        return ex.ExpressionStack(self.components)
 
     @cached_property
-    def _deriv_fns(self):
-        return tuple(
-            tuple(ex.compile_expr(ex.diff(e, k)) for k in (1, 2, 3)) for e in self.components
-        )
+    def _derivs(self) -> ex.ExpressionStack:
+        return ex.ExpressionStack(ex.diff(e, k) for e in self.components for k in (1, 2, 3))
+
+    def value_stack(self, points) -> tuple[np.ndarray, dict]:
+        """n at every row of an (N, 3) point array, and the per-node failures."""
+        values, failures = self._values.evaluate(as_points(points))
+        return fill_rows(values, failures, 0.0), failures
+
+    def jet_stack(self, points) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(n, dn, failures) with dn[n, i, k] the derivative of n[i] along x<k+1>."""
+        points = as_points(points)
+        value, failures = self.value_stack(points)
+        deriv, deriv_failures = self._derivs.evaluate(points)
+        merge_failures(failures, deriv_failures)
+        return value, fill_rows(deriv.reshape(-1, 3, 3), failures, 0.0), failures
 
     def value(self, point) -> Vec3:
-        p = as_vec3(point)
-        return np.array([ex.call_compiled(f, p) for f in self._value_fns])
+        return at_point(point, self.value_stack)[0]
 
     def jet(self, point) -> tuple[Vec3, np.ndarray]:
         """Return (n, dn) with dn[i, k] the derivative of n[i] along x<k+1>."""
-        p = as_vec3(point)
-        value = self.value(p)
-        deriv = np.array(
-            [[ex.call_compiled(self._deriv_fns[i][k], p) for k in range(3)] for i in range(3)]
-        )
-        return value, deriv
+        return at_point(point, self.jet_stack)
 
 
 # ---------------------------------------------------------------------------
@@ -214,44 +262,16 @@ class AnalyticVectorField:
 # ---------------------------------------------------------------------------
 
 
-def _grid_index(lower, spacing, shape, point) -> tuple[int, int, int]:
-    p = as_vec3(point)
-    idx = []
-    for axis in range(3):
-        i = int(round((p[axis] - lower[axis]) / spacing[axis]))
-        if i < 0 or i >= shape[axis]:
-            raise OutOfDomainError(
-                f"point {p.tolist()} is outside the sampling grid on axis {axis + 1}"
-            )
-        idx.append(i)
-    return tuple(idx)
-
-
-def _grid_derivative(values: np.ndarray, idx, axis: int, spacing: float) -> np.ndarray:
-    """2nd-order derivative of a gridded field along one axis at a node."""
-    n = values.shape[axis]
-    i, j, k = idx
-
-    def at(offset):
-        probe = [i, j, k]
-        probe[axis] += offset
-        return values[tuple(probe)]
-
-    pos = idx[axis]
-    if 0 < pos < n - 1:
-        return (at(1) - at(-1)) / (2.0 * spacing)
-    if pos == 0:
-        return (-3.0 * at(0) + 4.0 * at(1) - at(2)) / (2.0 * spacing)
-    return (3.0 * at(0) - 4.0 * at(-1) + at(-2)) / (2.0 * spacing)
-
-
 class _SampledField:
     """Regular-grid samples of an array-valued field, node-based access."""
 
-    def __init__(self, lower, spacing, values: np.ndarray, tail_shape: tuple):
+    tail_shape: tuple = ()
+
+    def __init__(self, lower, spacing, values):
         self.lower = tuple(float(v) for v in as_vec3(lower))
         self.spacing = tuple(float(v) for v in as_vec3(spacing))
         values = np.asarray(values, dtype=float)
+        tail_shape = self.tail_shape
         if values.ndim != 3 + len(tail_shape) or values.shape[3:] != tail_shape:
             raise ValueError(f"values must have shape (n1, n2, n3){tail_shape}")
         if any(s < 3 for s in values.shape[:3]):
@@ -263,54 +283,63 @@ class _SampledField:
         self.values = values
         self.shape = values.shape[:3]
 
-    def node_value(self, point) -> np.ndarray:
-        return self.values[_grid_index(self.lower, self.spacing, self.shape, point)]
-
-    def node_jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        idx = _grid_index(self.lower, self.spacing, self.shape, point)
-        value = self.values[idx]
-        deriv = np.stack(
-            [
-                _grid_derivative(self.values, idx, axis, self.spacing[axis])
-                for axis in range(3)
-            ],
-            axis=-1,
-        )
-        return value, deriv
-
-
-class SampledFrameField:
-    """Per-node implant matrices on a regular grid."""
-
-    def __init__(self, lower, spacing, values):
-        self._grid = _SampledField(lower, spacing, values, (3, 3))
-
-    @property
-    def lower(self):
-        return self._grid.lower
-
-    @property
-    def spacing(self):
-        return self._grid.spacing
-
-    @property
-    def shape(self):
-        return self._grid.shape
-
-    @property
-    def values(self):
-        return self._grid.values
-
     @classmethod
-    def from_function(cls, fn, domain: BodyDomain) -> "SampledFrameField":
+    def from_function(cls, fn, domain: BodyDomain):
         a1, a2, a3 = domain.axes()
-        values = np.empty((len(a1), len(a2), len(a3), 3, 3))
+        values = np.empty((len(a1), len(a2), len(a3)) + cls.tail_shape)
         for i, x1 in enumerate(a1):
             for j, x2 in enumerate(a2):
                 for k, x3 in enumerate(a3):
                     values[i, j, k] = fn(np.array([x1, x2, x3]))
         spacing = [(domain.upper[i] - domain.lower[i]) / (domain.resolution[i] - 1) for i in range(3)]
         return cls(domain.lower, spacing, values)
+
+    def _nodes(self, points) -> tuple[np.ndarray, dict]:
+        """Nearest grid node (N, 3) of each point; points off the grid fail."""
+        points = as_points(points)
+        idx = np.rint((points - np.array(self.lower)) / np.array(self.spacing))
+        outside = (idx < 0) | (idx >= np.array(self.shape))
+        failures = {}
+        for node in np.flatnonzero(np.any(outside, axis=1)).tolist():
+            axis = int(np.argmax(outside[node])) + 1
+            failures[node] = OutOfDomainError(
+                f"point {points[node].tolist()} is outside the sampling grid on axis {axis}"
+            )
+        return fill_rows(idx, failures, 0).astype(np.intp), failures
+
+    def _derivatives(self, idx: np.ndarray) -> np.ndarray:
+        """2nd-order derivatives at grid nodes, the axis as the last index.
+
+        Central differences inside, one-sided 2nd-order stencils on the faces.
+        """
+        out = np.empty((len(idx),) + self.tail_shape + (3,))
+        for axis in range(3):
+            i = idx[:, axis]
+            h2 = 2.0 * self.spacing[axis]
+
+            def at(rows, offset):
+                probe = idx[rows].copy()
+                probe[:, axis] += offset
+                return self.values[probe[:, 0], probe[:, 1], probe[:, 2]]
+
+            inner = (i > 0) & (i < self.shape[axis] - 1)
+            first = i == 0
+            last = i == self.shape[axis] - 1
+            d = out[..., axis]
+            d[inner] = (at(inner, 1) - at(inner, -1)) / h2
+            d[first] = (-3.0 * at(first, 0) + 4.0 * at(first, 1) - at(first, 2)) / h2
+            d[last] = (3.0 * at(last, 0) - 4.0 * at(last, -1) + at(last, -2)) / h2
+        return out
+
+    def _node_values(self, points) -> tuple[np.ndarray, np.ndarray, dict]:
+        idx, failures = self._nodes(points)
+        return idx, self.values[idx[:, 0], idx[:, 1], idx[:, 2]], failures
+
+
+class SampledFrameField(_SampledField):
+    """Per-node implant matrices on a regular grid."""
+
+    tail_shape = (3, 3)
 
     @classmethod
     def from_npz(cls, path) -> "SampledFrameField":
@@ -325,17 +354,24 @@ class SampledFrameField:
             values=self.values,
         )
 
+    def value_stack(self, points) -> tuple[np.ndarray, dict]:
+        """P at the grid node nearest each row of an (N, 3) array, and the per-node failures."""
+        points = as_points(points)
+        _, value, failures = self._node_values(points)
+        return _guard_frames(value, points, failures), failures
+
+    def jet_stack(self, points) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(P, dP, failures) at the grid node nearest each point."""
+        points = as_points(points)
+        idx, value, failures = self._node_values(points)
+        deriv = self._derivatives(idx)
+        return _guard_frames(value, points, failures), fill_rows(deriv, failures, 0.0), failures
+
     def value(self, point) -> Mat3:
-        out = self._grid.node_value(point)
-        if abs(float(np.linalg.det(out))) <= singular_tolerance(out):
-            raise SingularFrameError(f"frame is singular at {as_vec3(point).tolist()}")
-        return out.copy()
+        return at_point(point, self.value_stack)[0]
 
     def jet(self, point) -> tuple[Mat3, np.ndarray]:
-        value, deriv = self._grid.node_jet(point)
-        if abs(float(np.linalg.det(value))) <= singular_tolerance(value):
-            raise SingularFrameError(f"frame is singular at {as_vec3(point).tolist()}")
-        return value.copy(), deriv
+        return at_point(point, self.jet_stack)
 
     @cached_property
     def inverse_field(self) -> "SampledFrameField":
@@ -344,29 +380,25 @@ class SampledFrameField:
         return SampledFrameField(self.lower, self.spacing, inv)
 
 
-class SampledVectorField:
+class SampledVectorField(_SampledField):
     """Per-node 3-vectors on a regular grid."""
 
-    def __init__(self, lower, spacing, values):
-        self._grid = _SampledField(lower, spacing, values, (3,))
+    tail_shape = (3,)
 
-    @classmethod
-    def from_function(cls, fn, domain: BodyDomain) -> "SampledVectorField":
-        a1, a2, a3 = domain.axes()
-        values = np.empty((len(a1), len(a2), len(a3), 3))
-        for i, x1 in enumerate(a1):
-            for j, x2 in enumerate(a2):
-                for k, x3 in enumerate(a3):
-                    values[i, j, k] = fn(np.array([x1, x2, x3]))
-        spacing = [(domain.upper[i] - domain.lower[i]) / (domain.resolution[i] - 1) for i in range(3)]
-        return cls(domain.lower, spacing, values)
+    def value_stack(self, points) -> tuple[np.ndarray, dict]:
+        _, value, failures = self._node_values(points)
+        return fill_rows(value, failures, 0.0), failures
+
+    def jet_stack(self, points) -> tuple[np.ndarray, np.ndarray, dict]:
+        idx, value, failures = self._node_values(points)
+        deriv = self._derivatives(idx)
+        return fill_rows(value, failures, 0.0), fill_rows(deriv, failures, 0.0), failures
 
     def value(self, point) -> Vec3:
-        return self._grid.node_value(point).copy()
+        return at_point(point, self.value_stack)[0]
 
     def jet(self, point) -> tuple[Vec3, np.ndarray]:
-        value, deriv = self._grid.node_jet(point)
-        return value.copy(), deriv
+        return at_point(point, self.jet_stack)
 
 
 FrameField = Union[AnalyticFrameField, SampledFrameField]

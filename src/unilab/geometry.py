@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .fields import AnalyticFrameField, FrameField, SampledFrameField, VectorField, frame_jet
-from .linalg3 import Mat3, Ten3, Vec3, as_vec3, invert
+from .errors import merge_failures, raise_first
+from .fields import AnalyticFrameField, FrameField, SampledFrameField, VectorField
+from .linalg3 import Mat3, Ten3, Vec3, as_vec3, at_point
 
 
 @dataclass(frozen=True)
@@ -41,13 +42,16 @@ class MetricValue:
     point: Vec3
 
 
+def christoffel_stack(field: FrameField, points) -> tuple[np.ndarray, dict]:
+    """Gamma (N, 3, 3, 3) at the rows of an (N, 3) point array, and the per-node failures."""
+    value, deriv, failures = field.jet_stack(points)
+    return -np.einsum("niak,naj->nijk", deriv, np.linalg.inv(value)), failures
+
+
 def christoffel(field: FrameField, point) -> ConnectionValue:
     """Christoffel symbols Gamma^I_JK = -P^I_a,K Pinv^a_J of the material connection."""
     p = as_vec3(point)
-    value, deriv = frame_jet(field, p)
-    pinv = invert(value)
-    gamma = -np.einsum("iak,aj->ijk", deriv, pinv)
-    return ConnectionValue(gamma, p)
+    return ConnectionValue(at_point(p, christoffel_stack, field)[0], p)
 
 
 def christoffel_first_form(field: FrameField, point) -> Ten3:
@@ -61,12 +65,9 @@ def christoffel_first_form(field: FrameField, point) -> Ten3:
     p = as_vec3(point)
     if isinstance(field, AnalyticFrameField):
         value = field.value(p)
-        inv_entries = field.inverse_entries
         dinv = np.array(
-            [
-                [[ex.evaluate(ex.diff(inv_entries[a][j], k), p) for k in (1, 2, 3)] for j in range(3)]
-                for a in range(3)
-            ]
+            [[[ex.call_compiled(fn, p) for fn in row] for row in rows]
+             for rows in field.inverse_derivative_fns]
         )
     elif isinstance(field, SampledFrameField):
         value = field.value(p)
@@ -82,21 +83,34 @@ def torsion(connection: ConnectionValue) -> TorsionValue:
     return TorsionValue(gamma - gamma.transpose(0, 2, 1), connection.point)
 
 
+def metric_stack(field: FrameField, points) -> tuple[np.ndarray, dict]:
+    """Metric (N, 3, 3) at the rows of an (N, 3) point array, and the per-node failures.
+
+    The frame's full jet is evaluated, so derivative failures count too.
+    """
+    value, _, failures = field.jet_stack(points)
+    pinv = np.linalg.inv(value)
+    g = pinv.transpose(0, 2, 1) @ pinv
+    return 0.5 * (g + g.transpose(0, 2, 1)), failures
+
+
 def metric(field: FrameField, point) -> MetricValue:
     """Material metric g = (P P^T)^-1, symmetrized against round-off."""
     p = as_vec3(point)
-    value, _ = frame_jet(field, p)
-    pinv = invert(value)
-    g = pinv.T @ pinv
-    return MetricValue(0.5 * (g + g.T), p)
+    return MetricValue(at_point(p, metric_stack, field)[0], p)
+
+
+def covariant_derivative_stack(director: VectorField, field: FrameField, points):
+    """grad n (N, 3, 3) at the rows of an (N, 3) point array, and the per-node failures."""
+    n, dn, failures = director.jet_stack(points)
+    gamma, gamma_failures = christoffel_stack(field, points)
+    merge_failures(failures, gamma_failures)
+    return dn + np.einsum("nimk,nm->nik", gamma, n), failures
 
 
 def covariant_derivative(director: VectorField, field: FrameField, point) -> Mat3:
     """(grad n)^I_K = n^I,K + Gamma^I_MK n^M with the connection of the given frame."""
-    p = as_vec3(point)
-    n, dn = director.jet(p)
-    gamma = christoffel(field, p).gamma
-    return dn + np.einsum("imk,m->ik", gamma, n)
+    return at_point(point, covariant_derivative_stack, director, field)[0]
 
 
 def curvature_residual(field: FrameField, point, h: float) -> float:
@@ -112,14 +126,14 @@ def curvature_residual(field: FrameField, point, h: float) -> float:
     if h <= 0:
         raise ValueError("step h must be positive")
     p = as_vec3(point)
-    gamma = christoffel(field, p).gamma
-    dgamma = np.empty((3, 3, 3, 3))  # dgamma[i, j, k, l] = d Gamma^I_JK / d x<l+1>
-    for axis in range(3):
-        step = np.zeros(3)
-        step[axis] = h
-        plus = christoffel(field, p + step).gamma
-        minus = christoffel(field, p - step).gamma
-        dgamma[:, :, :, axis] = (plus - minus) / (2.0 * h)
+    probes = [p]
+    for step in np.eye(3) * h:
+        probes += [p + step, p - step]
+    gammas, failures = christoffel_stack(field, np.array(probes))
+    raise_first(failures)
+    gamma = gammas[0]
+    # dgamma[i, j, k, l] = d Gamma^I_JK / d x<l+1>
+    dgamma = ((gammas[1::2] - gammas[2::2]) / (2.0 * h)).transpose(1, 2, 3, 0)
     quad = np.einsum("imk,mjl->ijkl", gamma, gamma)
     riemann = (
         dgamma.transpose(0, 1, 3, 2)  # Gamma^I_JL,K

@@ -25,7 +25,15 @@ import numpy as np
 
 from .fields import FrameField
 from .geometry import christoffel
-from .linalg3 import Mat3, Vec3, as_vec3, contract_ten3_vec, invert, kernel_of_flattened
+from .linalg3 import (
+    Mat3,
+    Vec3,
+    as_vec3,
+    contract_ten3_vec,
+    invert,
+    kernel_of_flattened,
+    max_abs,
+)
 from .measures import CompositeSpec, measure_case1
 
 DEFAULT_RANK_REL_TOL = 1e-8
@@ -106,19 +114,37 @@ def infinitesimal_classification(
     p = as_vec3(point)
     gamma1 = christoffel(spec.component1, p).gamma
     gamma2 = christoffel(spec.component2, p).gamma
-    abs_floor = 1e-10 * (1.0 + float(np.max(np.abs(gamma1))) + float(np.max(np.abs(gamma2))))
     b = gamma1 - gamma2
     if project_skew:
         b = 0.5 * (b + b.transpose(1, 0, 2))
     kernel = kernel_of_flattened(b, rel_tol)
-    if float(kernel.singular_values[0]) <= abs_floor:
-        return InfinitesimalClassification(
-            InfinitesimalKind.UNIFORM, 3, np.eye(3), abs_floor
-        )
-    if kernel.dimension == 0:
-        return InfinitesimalClassification(
-            InfinitesimalKind.ONLY_DOUBLE_UNIT, 0, kernel.basis, abs_floor
-        )
-    return InfinitesimalClassification(
-        InfinitesimalKind.ANNIHILATOR, kernel.dimension, kernel.basis, abs_floor
+    kinds, ms, floors = classify_stack(
+        max_abs(gamma1[None]),
+        max_abs(gamma2[None]),
+        kernel.singular_values[None],
+        np.array([kernel.dimension]),
     )
+    kind = KINDS[kinds[0]]
+    basis = np.eye(3) if kind is InfinitesimalKind.UNIFORM else kernel.basis
+    return InfinitesimalClassification(kind, int(ms[0]), basis, float(floors[0]))
+
+
+KINDS = (
+    InfinitesimalKind.UNIFORM,
+    InfinitesimalKind.ANNIHILATOR,
+    InfinitesimalKind.ONLY_DOUBLE_UNIT,
+)
+
+
+def classify_stack(gamma1_max, gamma2_max, sigma, dims):
+    """(kind, m, abs_floor) per node, kind indexing KINDS.
+
+    Inputs per node: the largest entries max|Gamma1| and max|Gamma2|,
+    and the singular values (descending) and kernel dimension of the
+    defect. The absolute floor 1e-10 * (1 + max|Gamma1| + max|Gamma2|)
+    guards the uniform verdict against round-off in B.
+    """
+    abs_floor = 1e-10 * (1.0 + gamma1_max + gamma2_max)
+    uniform = sigma[:, 0] <= abs_floor
+    kind = np.where(uniform, 0, np.where(dims == 0, 2, 1))
+    return kind, np.where(uniform, 3, dims), abs_floor

@@ -20,10 +20,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import MissingDirectorError, NotAGroupError
+from .errors import MissingDirectorError, NotAGroupError, merge_failures, raise_first
 from .fields import FrameField, VectorField, frame_jet
-from .geometry import christoffel, covariant_derivative, metric
-from .linalg3 import Mat3, Ten3, as_mat3, as_vec3, invert
+from .geometry import christoffel, christoffel_stack, covariant_derivative_stack, metric_stack
+from .linalg3 import Mat3, Ten3, as_mat3, as_points, as_vec3, at_point, invert
 
 
 class SymmetryCase(Enum):
@@ -81,18 +81,25 @@ class CompositeSpec:
 
 @dataclass(frozen=True)
 class MeasureResult:
+    """One point's defects; evaluate_measure_stack holds one row per node instead."""
+
     case_number: int
     B: np.ndarray                 # Ten3 for case 1, Mat3 otherwise
     b_hat: Mat3 | None = None     # case 3 director gradient
     angle_defect: float | None = None  # case 5
 
 
+def measure_case1_stack(spec: CompositeSpec, points) -> tuple[np.ndarray, dict]:
+    """B (N, 3, 3, 3) at the rows of an (N, 3) point array, and the per-node failures."""
+    g1, failures = christoffel_stack(spec.component1, points)
+    g2, failures2 = christoffel_stack(spec.component2, points)
+    merge_failures(failures, failures2)
+    return g1 - g2, failures
+
+
 def measure_case1(spec: CompositeSpec, point) -> Ten3:
     """Third-order defect B = Gamma1 - Gamma2 of the two material connections."""
-    p = as_vec3(point)
-    g1 = christoffel(spec.component1, p).gamma
-    g2 = christoffel(spec.component2, p).gamma
-    return g1 - g2
+    return at_point(point, measure_case1_stack, spec)[0]
 
 
 def measure_case1_covariant(spec: CompositeSpec, point) -> Ten3:
@@ -109,21 +116,55 @@ def measure_case1_covariant(spec: CompositeSpec, point) -> Ten3:
     return -np.einsum("aj,iak->ijk", invert(p1), semi)
 
 
+def measure_case2_stack(spec: CompositeSpec, points) -> tuple[np.ndarray, dict]:
+    """Metric defect (N, 3, 3) at the rows of an (N, 3) point array, and the per-node failures."""
+    g1, failures = metric_stack(spec.component1, points)
+    g2, failures2 = metric_stack(spec.component2, points)
+    merge_failures(failures, failures2)
+    return g1 - g2, failures
+
+
 def measure_case2(spec: CompositeSpec, point) -> Mat3:
     """Metric defect B = g1 - g2."""
-    p = as_vec3(point)
-    return metric(spec.component1, p).g - metric(spec.component2, p).g
+    return at_point(point, measure_case2_stack, spec)[0]
+
+
+def measure_case3_stack(spec: CompositeSpec, points):
+    """(B, b_hat, failures): measure_case3 at the rows of an (N, 3) point array."""
+    if spec.director is None:
+        raise MissingDirectorError("case discrete-transiso requires a director")
+    points = as_points(points)
+    failures = _nonzero_failures(spec.director, points)
+    b, failures2 = measure_case2_stack(spec, points)
+    merge_failures(failures, failures2)
+    b_hat, failures3 = covariant_derivative_stack(spec.director, spec.component1, points)
+    merge_failures(failures, failures3)
+    return b, b_hat, failures
 
 
 def measure_case3(spec: CompositeSpec, point) -> tuple[Mat3, Mat3]:
     """Metric defect plus the covariant gradient of the director in component 1."""
-    if spec.director is None:
-        raise MissingDirectorError("case discrete-transiso requires a director")
-    p = as_vec3(point)
-    _require_nonzero(spec.director, p)
-    b = measure_case2(spec, p)
-    b_hat = covariant_derivative(spec.director, spec.component1, p)
-    return b, b_hat
+    return at_point(point, measure_case3_stack, spec)
+
+
+def measure_case5_stack(spec: CompositeSpec, points):
+    """(B, delta, failures): measure_case5 at the rows of an (N, 3) point array."""
+    if spec.director1 is None or spec.director2 is None:
+        raise MissingDirectorError("case transiso-transiso requires director1 and director2")
+    points = as_points(points)
+    failures = _nonzero_failures(spec.director1, points)
+    merge_failures(failures, _nonzero_failures(spec.director2, points))
+    b, failures2 = measure_case2_stack(spec, points)
+    merge_failures(failures, failures2)
+    g, _ = metric_stack(spec.component1, points)
+    n1 = _normalize(spec.director1.value_stack(points)[0], g, failures)
+    n2 = _normalize(spec.director2.value_stack(points)[0], g, failures)
+    p1, _ = spec.component1.value_stack(points)
+    p2, _ = spec.component2.value_stack(points)
+    transported = np.einsum("nij,nj->ni", p1 @ np.linalg.inv(p2), n2)
+    n1_g = np.einsum("ni,nij->nj", n1, g)
+    delta = np.einsum("ni,ni->n", n1_g, transported) - np.einsum("ni,ni->n", n1_g, n2)
+    return b, delta, failures
 
 
 def measure_case5(spec: CompositeSpec, point) -> tuple[Mat3, float]:
@@ -134,47 +175,53 @@ def measure_case5(spec: CompositeSpec, point) -> tuple[Mat3, float]:
     vanishes exactly when transporting the second director through the
     implants preserves its angle against the first.
     """
-    if spec.director1 is None or spec.director2 is None:
-        raise MissingDirectorError("case transiso-transiso requires director1 and director2")
-    p = as_vec3(point)
-    _require_nonzero(spec.director1, p)
-    _require_nonzero(spec.director2, p)
-    b = measure_case2(spec, p)
-    g = metric(spec.component1, p).g
-    n1 = _normalize(spec.director1.value(p), g)
-    n2 = _normalize(spec.director2.value(p), g)
-    p1, _ = frame_jet(spec.component1, p)
-    p2, _ = frame_jet(spec.component2, p)
-    transported = p1 @ invert(p2) @ n2
-    delta = float(n1 @ g @ transported - n1 @ g @ n2)
-    return b, delta
+    b, delta = at_point(point, measure_case5_stack, spec)
+    return b, float(delta)
+
+
+def evaluate_measure_stack(spec: CompositeSpec, points) -> tuple[MeasureResult, dict]:
+    """Every node's defects as one MeasureResult of stacks, and the per-node failures."""
+    case = spec.case_number
+    if case == 1:
+        b, failures = measure_case1_stack(spec, points)
+        return MeasureResult(1, b), failures
+    if case in (2, 4):
+        b, failures = measure_case2_stack(spec, points)
+        return MeasureResult(case, b), failures
+    if case == 3:
+        b, b_hat, failures = measure_case3_stack(spec, points)
+        return MeasureResult(3, b, b_hat=b_hat), failures
+    b, delta, failures = measure_case5_stack(spec, points)
+    return MeasureResult(5, b, angle_defect=delta), failures
 
 
 def evaluate_measure(spec: CompositeSpec, point) -> MeasureResult:
     """Dispatch on the symmetry case; case 4 reuses the case-2 defect."""
-    case = spec.case_number
-    if case == 1:
-        return MeasureResult(1, measure_case1(spec, point))
-    if case in (2, 4):
-        return MeasureResult(case, measure_case2(spec, point))
-    if case == 3:
-        b, b_hat = measure_case3(spec, point)
-        return MeasureResult(3, b, b_hat=b_hat)
-    b, delta = measure_case5(spec, point)
-    return MeasureResult(5, b, angle_defect=delta)
+    result, failures = evaluate_measure_stack(spec, as_vec3(point)[None])
+    raise_first(failures)
+    return MeasureResult(
+        result.case_number,
+        result.B[0],
+        None if result.b_hat is None else result.b_hat[0],
+        None if result.angle_defect is None else float(result.angle_defect[0]),
+    )
 
 
-def _require_nonzero(director: VectorField, point) -> None:
-    n = director.value(point)
-    if float(np.linalg.norm(n)) == 0.0:
-        raise MissingDirectorError(f"director vanishes at {as_vec3(point).tolist()}")
+def _nonzero_failures(director: VectorField, points: np.ndarray) -> dict:
+    n, failures = director.value_stack(points)
+    vanishing = np.flatnonzero(np.linalg.norm(n, axis=1) == 0.0)
+    for node in vanishing.tolist():
+        failures.setdefault(
+            node, MissingDirectorError(f"director vanishes at {points[node].tolist()}")
+        )
+    return failures
 
 
-def _normalize(n, g) -> np.ndarray:
-    length = float(np.sqrt(n @ g @ n))
-    if length == 0.0:
-        raise MissingDirectorError("director has zero metric length")
-    return n / length
+def _normalize(n: np.ndarray, g: np.ndarray, failures: dict) -> np.ndarray:
+    length = np.sqrt(np.einsum("ni,nij,nj->n", n, g, n))
+    for node in np.flatnonzero(length == 0.0).tolist():
+        failures.setdefault(node, MissingDirectorError("director has zero metric length"))
+    return n / np.where(length == 0.0, 1.0, length)[:, None]
 
 
 # ---------------------------------------------------------------------------

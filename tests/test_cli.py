@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from unilab.cli import canonical_json, main, validate_config
+from unilab.errors import ExpressionCompileError
+from unilab.expressions import compile_expr, parse
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -22,6 +24,17 @@ def run_report(tmp_path, config, name="report.json"):
     out = tmp_path / name
     code = main(["run", "--config", str(config), "--out", str(out)])
     return code, out
+
+
+def tallest_tower():
+    """Height of the tallest x1^x1^...^x1 that compiles; its derivative does not."""
+    height = 2
+    while True:
+        try:
+            compile_expr(parse("^".join(["x1"] * (height + 1))))
+        except ExpressionCompileError:
+            return height
+        height += 1
 
 
 def rot_z(deg):
@@ -70,6 +83,40 @@ class TestValidation:
         diagnostics = validate_config(bad)
         assert len(diagnostics) == 1
         assert diagnostics[0].startswith("config: invalid JSON")
+
+    def test_long_sum_validates_and_runs(self, tmp_path):
+        long_sum = " + ".join(["0.001*x1"] * 250)
+        config = {
+            "schema": 1,
+            "domain": {"lower": [0.1, 0.1, 0.1], "upper": [1.0, 1.0, 1.0], "resolution": [3, 3, 3]},
+            "composite": {
+                "case": "discrete-discrete",
+                "component1": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                "component2": [["1", long_sum, "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            },
+            "tasks": ["measure", "foliate", "infinitesimal"],
+        }
+        path = tmp_path / "long_sum.json"
+        path.write_text(json.dumps(config))
+        assert validate_config(path) == []
+        code, out = run_report(tmp_path, path)
+        assert code == 0
+        assert json.loads(out.read_text())["tasks"]["foliate"]["class"] == "Laminated"
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(1, "cannot compile"), (0, "derivative along x1: cannot compile")],
+        ids=["expression", "derivative"],
+    )
+    def test_uncompilable_expression_is_located(self, tmp_path, capsys, extra, message):
+        config = json.loads(GOOD[2].read_text())
+        config["composite"]["component2"][0][1] = "^".join(["x1"] * (tallest_tower() + extra))
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(config))
+        code, out = run_report(tmp_path, path)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().out.startswith(f"composite.component2[0][1]: {message}")
 
     def test_run_refuses_invalid_config(self, tmp_path):
         code, out = run_report(tmp_path, CONFIG_DIR / "bad_schema.json")
