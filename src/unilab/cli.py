@@ -16,7 +16,7 @@ import hashlib
 import itertools
 import json
 import sys
-from functools import cached_property
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 import jsonschema
@@ -48,7 +48,6 @@ from .double_groupoid import (
     filling_check,
     is_commutative,
     is_compatible,
-    is_uniform,
     misalignment,
     normalizer_criterion,
     square_from_dict,
@@ -228,6 +227,11 @@ def _frame_diagnostics(path: str, node, config_dir: Path) -> list[str]:
         grid = config_dir / node["grid"]
         if not grid.is_file():
             out.append(f"{path}.grid: grid file {node['grid']!r} not found")
+            return out
+        try:
+            SampledFrameField.from_npz(grid)
+        except UnilabError as exc:
+            out.append(f"{path}.grid: grid file {node['grid']!r}: {exc}")
         return out
     for i, row in enumerate(node):
         for j, cell in enumerate(row):
@@ -414,6 +418,10 @@ class _Context:
         return coarse_enumerate(side_h, side_v, self.max_squares)
 
     @cached_property
+    def commuting_squares(self) -> list:
+        return [sq for sq in self.coarse_squares if is_commutative(sq, self.commutation_tol)]
+
+    @cached_property
     def dgpd(self) -> MaterialDoubleGroupoid:
         side_h, side_v = self.sides
         if "squares" in self.config:
@@ -421,10 +429,9 @@ class _Context:
                 square_from_dict(sq, side_h, side_v) for sq in self.config["squares"]
             ]
             return MaterialDoubleGroupoid(side_h, side_v, squares, self.commutation_tol)
-        squares = [
-            sq for sq in self.coarse_squares if is_commutative(sq, self.commutation_tol)
-        ]
-        return MaterialDoubleGroupoid(side_h, side_v, squares, self.commutation_tol, check=False)
+        return MaterialDoubleGroupoid(
+            side_h, side_v, self.commuting_squares, self.commutation_tol, check=False
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -466,24 +473,24 @@ def _task_foliate(ctx: _Context) -> dict:
     return report_to_dict(report)
 
 
-def _misalignment_table(ctx: _Context, dg: MaterialDoubleGroupoid) -> dict:
+def _misalignment_table(ctx: _Context, m) -> dict:
+    """Misalignment m(a, b) of each configured pair, or of every ordered pair."""
     pairs = ctx.config.get("pairs")
     ids = ctx.points.ids
     if pairs is None:
         pairs = [[a, b] for a, b in itertools.permutations(ids, 2)]
     table = {}
     for a, b in pairs:
-        table[f"{a}->{b}"] = [float(v) for v in misalignment(dg, a, b).ravel()]
+        table[f"{a}->{b}"] = [float(v) for v in m(a, b).ravel()]
     return table
 
 
 def _task_squares(ctx: _Context) -> dict:
     dg = ctx.dgpd
     n_coarse = len(ctx.coarse_squares)
-    n_commutative = sum(
-        1 for sq in ctx.coarse_squares if is_commutative(sq, ctx.commutation_tol)
-    )
+    n_commutative = len(ctx.commuting_squares)
     core_groupoid = core(dg)
+    uniform = is_transitive(core_groupoid)  # what is_uniform(dg) computes
     block = {
         "n_points": len(ctx.points),
         "n_coarse": n_coarse,
@@ -491,24 +498,22 @@ def _task_squares(ctx: _Context) -> dict:
         "n_commutative": n_commutative,
         "all_commutative": n_commutative == n_coarse,
         "core_arrow_count": len(core_groupoid.arrows),
-        "core_transitive": is_transitive(core_groupoid),
-        "uniform": is_uniform(dg),
+        "core_transitive": uniform,
+        "uniform": uniform,
         "unfillable_pairs": len(filling_check(dg)),
     }
+    # One misalignment per ordered pair, first asked for in square order.
+    m = cache(lambda x, y: misalignment(dg, x, y))
     try:
         deviation = 0.0
         for sq in dg.squares:
-            m_wy = misalignment(dg, sq.W, sq.Y)
-            m_xz = misalignment(dg, sq.X, sq.Z)
-            m_wx = misalignment(dg, sq.W, sq.X)
-            m_yz = misalignment(dg, sq.Y, sq.Z)
             deviation = max(
                 deviation,
-                float(np.max(np.abs(m_wy - m_xz))),
-                float(np.max(np.abs(m_wx - m_yz))),
+                float(np.max(np.abs(m(sq.W, sq.Y) - m(sq.X, sq.Z)))),
+                float(np.max(np.abs(m(sq.W, sq.X) - m(sq.Y, sq.Z)))),
             )
         block["opposite_pair_max_deviation"] = deviation
-        block["misalignments"] = _misalignment_table(ctx, dg)
+        block["misalignments"] = _misalignment_table(ctx, m)
     except UnilabError as exc:
         block["misalignment_error"] = str(exc)
     return block
@@ -516,7 +521,7 @@ def _task_squares(ctx: _Context) -> dict:
 
 def _task_misalign(ctx: _Context) -> dict:
     dg = ctx.dgpd
-    block = {"pairs": _misalignment_table(ctx, dg)}
+    block = {"pairs": _misalignment_table(ctx, partial(misalignment, dg))}
     comparisons = []
     for pair1, pair2 in ctx.config.get("pair_comparisons", []):
         entry = {

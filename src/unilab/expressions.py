@@ -153,10 +153,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_BINARY_OPS = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
+
+
 class _Parser:
+    """Recursive descent over the grammar above, tracking each subtree's height.
+
+    Every operator, call and pair of parentheses counts as one level.
+    Trees deeper than MAX_DEPTH levels are refused with a located
+    ExpressionSyntaxError, so neither this parser nor the recursive tree
+    walkers (diff, to_python_source on an expression and on its
+    derivatives, which can nest three times deeper) reach Python's
+    default recursion limit. A 250-term sum is 251 levels deep. One
+    method covers both binary precedence levels and one the unary, power
+    and atom rules, so a level costs this parser at most three frames.
+    """
+
+    MAX_DEPTH = 256
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # levels opened around the operand being parsed
 
     def peek(self):
         return self.tokens[self.pos]
@@ -176,71 +194,75 @@ class _Parser:
         if tok[0] != "op" or tok[1] != symbol:
             self.fail(tok)
 
+    def check(self, height: int, tok) -> int:
+        if height > self.MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                tok[2], f"expression nests deeper than {self.MAX_DEPTH} levels"
+            )
+        return height
+
+    def inner(self, tok, parse):
+        """(node, height) of parse() one level below tok."""
+        self.open = self.check(self.open + 1, tok)
+        node, height = parse()
+        self.open -= 1
+        return node, self.check(height + 1, tok)
+
     def parse(self) -> ScalarExpr:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             self.fail(tok)
         return node
 
-    def expr(self) -> ScalarExpr:
-        node = self.term()
+    def expr(self, level: int = 1) -> tuple[ScalarExpr, int]:
+        """A left-associative chain of the binary operators binding at level or tighter.
+
+        Level 1 is expr of the grammar, level 2 is term.
+        """
+        node, height = self.factor()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if text == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def term(self) -> ScalarExpr:
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = Mul(node, rhs) if text == "*" else Div(node, rhs)
-            else:
-                return node
-
-    def factor(self) -> ScalarExpr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
+            tok = self.peek()
+            kind, text, _ = tok
+            if kind != "op" or text not in _BINARY_OPS or _BINARY_OPS[text][0] < level:
+                return node, height
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            precedence, node_type = _BINARY_OPS[text]
+            rhs, rhs_height = self.expr(precedence + 1)
+            node = node_type(node, rhs)
+            height = self.check(max(height, rhs_height) + 1, tok)
 
-    def power(self) -> ScalarExpr:
-        base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Pow(base, self.factor())
-        return base
-
-    def atom(self) -> ScalarExpr:
+    def factor(self) -> tuple[ScalarExpr, int]:
+        """factor, power and atom of the grammar."""
         tok = self.advance()
         kind, text, offset = tok
+        if kind == "op" and text == "-":
+            arg, height = self.inner(tok, self.factor)
+            return Neg(arg), height
         if kind == "num":
-            return Num(float(text))
-        if kind == "name":
-            if text in VARIABLES:
-                return Var(VARIABLES[text])
-            if text in CONSTANTS:
-                return Const(text)
-            if text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(text, arg)
-            raise UnknownIdentifierError(offset, text)
-        if kind == "op" and text == "(":
-            node = self.expr()
+            base, height = Num(float(text)), 1
+        elif kind == "name" and text in VARIABLES:
+            base, height = Var(VARIABLES[text]), 1
+        elif kind == "name" and text in CONSTANTS:
+            base, height = Const(text), 1
+        elif kind == "name" and text in FUNCTIONS:
+            self.expect_op("(")
+            arg, height = self.inner(tok, self.expr)
             self.expect_op(")")
-            return node
-        self.fail(tok)
+            base = Call(text, arg)
+        elif kind == "name":
+            raise UnknownIdentifierError(offset, text)
+        elif kind == "op" and text == "(":
+            base, height = self.inner(tok, self.expr)
+            self.expect_op(")")
+        else:
+            self.fail(tok)
+        tok = self.peek()
+        if tok[0] == "op" and tok[1] == "^":
+            self.advance()
+            exponent, exponent_height = self.inner(tok, self.factor)
+            return Pow(base, exponent), self.check(max(height + 1, exponent_height), tok)
+        return base, height
 
 
 def parse(text: str) -> ScalarExpr:

@@ -19,6 +19,7 @@ point's error.
 """
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -26,7 +27,13 @@ from typing import Union
 import numpy as np
 
 from . import expressions as ex
-from .errors import NonFiniteError, OutOfDomainError, SingularFrameError, merge_failures
+from .errors import (
+    ConfigError,
+    NonFiniteError,
+    OutOfDomainError,
+    SingularFrameError,
+    merge_failures,
+)
 from .linalg3 import (
     Mat3,
     Vec3,
@@ -343,8 +350,23 @@ class SampledFrameField(_SampledField):
 
     @classmethod
     def from_npz(cls, path) -> "SampledFrameField":
-        data = np.load(path)
-        return cls(data["lower"], data["spacing"], data["values"])
+        """Load a grid written by to_npz; any other file raises ConfigError."""
+        try:
+            data = np.load(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read the grid file: {exc}") from None
+        except (EOFError, ValueError, zipfile.BadZipFile):
+            data = None  # not a numpy file, or a pickle: refused below
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ConfigError("not an npz archive")
+        with data:
+            for key in ("lower", "spacing", "values"):
+                if key not in data:
+                    raise ConfigError(f"npz archive lacks {key!r}")
+            try:
+                return cls(data["lower"], data["spacing"], data["values"])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     def to_npz(self, path) -> None:
         np.savez(
@@ -403,8 +425,3 @@ class SampledVectorField(_SampledField):
 
 FrameField = Union[AnalyticFrameField, SampledFrameField]
 VectorField = Union[AnalyticVectorField, SampledVectorField]
-
-
-def frame_jet(field: FrameField, point) -> tuple[Mat3, np.ndarray]:
-    """Value and first derivatives of a frame field at a point."""
-    return field.jet(point)

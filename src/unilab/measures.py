@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import MissingDirectorError, NotAGroupError, merge_failures, raise_first
-from .fields import FrameField, VectorField, frame_jet
+from .fields import FrameField, VectorField
 from .geometry import christoffel, christoffel_stack, covariant_derivative_stack, metric_stack
 from .linalg3 import Mat3, Ten3, as_mat3, as_points, as_vec3, at_point, invert
 
@@ -110,7 +110,7 @@ def measure_case1_covariant(spec: CompositeSpec, point) -> Ten3:
     measure_case1 is an internal identity, kept as a dual route.
     """
     p = as_vec3(point)
-    p1, dp1 = frame_jet(spec.component1, p)
+    p1, dp1 = spec.component1.jet(p)
     gamma2 = christoffel(spec.component2, p).gamma
     semi = dp1 + np.einsum("imk,ma->iak", gamma2, p1)
     return -np.einsum("aj,iak->ijk", invert(p1), semi)

@@ -8,8 +8,22 @@ import numpy as np
 import pytest
 
 from unilab.cli import canonical_json, main, validate_config
-from unilab.errors import ExpressionCompileError
+from unilab.double_groupoid import (
+    MaterialDoubleGroupoid,
+    coarse_enumerate,
+    core,
+    filling_check,
+    is_commutative,
+    is_compatible,
+    is_uniform,
+    misalignment,
+    normalizer_criterion,
+    square_from_dict,
+)
+from unilab.errors import ConfigError, ExpressionCompileError, NotTriclinicError
 from unilab.expressions import compile_expr, parse
+from unilab.fields import AnalyticFrameField, SampledFrameField
+from unilab.groupoid import PointSet, from_frame_field, groupoid_from_dict, is_transitive
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -117,6 +131,54 @@ class TestValidation:
         assert code == 1
         assert not out.exists()
         assert capsys.readouterr().out.startswith(f"composite.component2[0][1]: {message}")
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["(" * 400 + "x1" + ")" * 400, " + ".join(["0.001*x1"] * 1200), "-" * 1000 + "x1"],
+        ids=["400-parentheses", "1200-term-sum", "1000-minus-signs"],
+    )
+    def test_too_deep_expression_is_located(self, tmp_path, capsys, expression):
+        config = json.loads(GOOD[2].read_text())
+        config["composite"]["component2"][0][1] = expression
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().out.startswith(
+            "composite.component2[0][1]: expression nests deeper than"
+        )
+        code, out = run_report(tmp_path, path)
+        assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["values-shape", "no-spacing", "not-npz"])
+    def test_malformed_grid_is_located(self, tmp_path, capsys, fault):
+        grid = tmp_path / "component2.npz"
+        arrays = {
+            "lower": np.zeros(3),
+            "spacing": np.full(3, 0.5),
+            "values": np.tile(np.eye(3), (3, 3, 3, 1, 1)),
+        }
+        if fault == "values-shape":
+            arrays["values"] = np.zeros((3, 3, 3, 9))
+        if fault == "no-spacing":
+            del arrays["spacing"]
+        if fault == "not-npz":
+            grid.write_text("not an archive")
+        else:
+            np.savez(grid, **arrays)
+        with pytest.raises(ConfigError):
+            SampledFrameField.from_npz(grid)
+        config = json.loads(GOOD[2].read_text())
+        config["composite"]["component2"] = {"grid": grid.name}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().out.startswith(
+            "composite.component2.grid: grid file 'component2.npz': "
+        )
+        code, out = run_report(tmp_path, path)
+        assert code == 1
+        assert not out.exists()
 
     def test_run_refuses_invalid_config(self, tmp_path):
         code, out = run_report(tmp_path, CONFIG_DIR / "bad_schema.json")
@@ -258,3 +320,165 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ok"
+
+
+def uniform_squares_config(path):
+    """A uniform composite on four points: component 2 is component 1 times C."""
+    angle = "(pi/180)*(10*x1+30*x2)"
+    rotation = [
+        [f"cos({angle})", f"-sin({angle})", "0"],
+        [f"sin({angle})", f"cos({angle})", "0"],
+        ["0", "0", "1"],
+    ]
+    c = [[1.1, 0.2, 0.0], [-0.1, 0.9, 0.3], [0.25, 0.0, 1.2]]
+    component2 = [
+        [" + ".join(f"({rotation[i][k]})*({c[k][j]!r})" for k in range(3)) for j in range(3)]
+        for i in range(3)
+    ]
+    points = [[0.1, 0.2, 0.3], [0.7, 0.4, 0.2], [0.3, 0.9, 0.6], [0.8, 0.8, 0.1]]
+    config = {
+        "schema": 1,
+        "composite": {
+            "case": "discrete-discrete",
+            "component1": rotation,
+            "component2": component2,
+        },
+        "points": [{"id": f"p{i}", "coords": xyz} for i, xyz in enumerate(points)],
+        "pairs": [["p0", "p1"], ["p1", "p2"], ["p3", "p0"]],
+        "pair_comparisons": [[["p0", "p1"], ["p2", "p3"]]],
+        "tasks": ["squares", "misalign"],
+    }
+    path.write_text(json.dumps(config))
+    return path
+
+
+def rounded(value):
+    """A float as the report prints it."""
+    return float("%.12e" % value)
+
+
+def reference_blocks(config_path):
+    """The squares and misalign blocks recomputed through the public API."""
+    config = json.loads(Path(config_path).read_text())
+    composite = config["composite"]
+    base = PointSet.from_pairs((p["id"], p["coords"]) for p in config["points"])
+    side_h = from_frame_field(AnalyticFrameField.from_strings(composite["component1"]), base)
+    side_v = from_frame_field(AnalyticFrameField.from_strings(composite["component2"]), base)
+    coarse = coarse_enumerate(side_h, side_v)
+    commuting = [sq for sq in coarse if is_commutative(sq)]
+    dg = MaterialDoubleGroupoid(side_h, side_v, commuting)
+    core_groupoid = core(dg)
+    deviation = 0.0
+    for sq in dg.squares:
+        deviation = max(
+            deviation,
+            np.max(np.abs(misalignment(dg, sq.W, sq.Y) - misalignment(dg, sq.X, sq.Z))),
+            np.max(np.abs(misalignment(dg, sq.W, sq.X) - misalignment(dg, sq.Y, sq.Z))),
+        )
+    table = {
+        f"{a}->{b}": [rounded(v) for v in misalignment(dg, a, b).ravel()]
+        for a, b in config["pairs"]
+    }
+    squares = {
+        "n_points": len(base),
+        "n_coarse": len(coarse),
+        "n_stored": len(dg.squares),
+        "n_commutative": len(commuting),
+        "all_commutative": len(commuting) == len(coarse),
+        "core_arrow_count": len(core_groupoid.arrows),
+        "core_transitive": is_transitive(core_groupoid),
+        "uniform": is_uniform(dg),
+        "unfillable_pairs": len(filling_check(dg)),
+        "opposite_pair_max_deviation": rounded(deviation),
+        "misalignments": table,
+    }
+    comparisons = []
+    for pair1, pair2 in config["pair_comparisons"]:
+        pair1, pair2 = tuple(pair1), tuple(pair2)
+        entry = {
+            "pair1": "->".join(pair1),
+            "pair2": "->".join(pair2),
+            "compatible_1": is_compatible(dg, pair1, pair2, 1),
+            "compatible_2": is_compatible(dg, pair1, pair2, 2),
+        }
+        if entry["compatible_1"]:
+            entry["normalizer_commutes"] = normalizer_criterion(dg, pair1, pair2)
+        comparisons.append(entry)
+    return squares, {"pairs": table, "comparisons": comparisons}
+
+
+class TestSquaresBlocks:
+    @pytest.mark.parametrize("composite", ["rotation", "uniform"])
+    def test_blocks_match_the_library(self, tmp_path, composite):
+        if composite == "rotation":
+            config = GOOD[1]
+        else:
+            config = uniform_squares_config(tmp_path / "uniform_squares.json")
+        code, out = run_report(tmp_path, config)
+        assert code == 0
+        tasks = json.loads(out.read_text())["tasks"]
+        squares, misalign = reference_blocks(config)
+        assert tasks["squares"] == squares
+        assert tasks["misalign"] == misalign
+        if composite == "uniform":
+            assert squares["n_stored"] == squares["n_coarse"] == 4 ** 4
+            assert squares["uniform"] is True
+
+    def test_explicit_groupoids_with_a_vertex_group_of_order_two(self, tmp_path):
+        flip = [-1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0]
+        identity = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+
+        def side(prefix):
+            # Two arrows join every ordered pair: the identity and the half turn.
+            return {"arrows": [
+                {"id": f"{prefix}{a}{b}{name}", "source": a, "target": b, "map": m}
+                for a in "AB" for b in "AB" for name, m in (("i", identity), ("f", flip))
+            ]}
+
+        squares = [
+            {"corners": {"W": "A", "X": "B", "Y": "B", "Z": "A"},
+             "s": "hABi", "t": "hBAi", "s_hat": "vABi", "t_hat": "vBAi"},
+            {"corners": {"W": "A", "X": "A", "Y": "A", "Z": "A"},
+             "s": "hAAf", "t": "hAAf", "s_hat": "vAAi", "t_hat": "vAAi"},
+            {"corners": {"W": "B", "X": "A", "Y": "B", "Z": "B"},
+             "s": "hBBi", "t": "hABf", "s_hat": "vBAf", "t_hat": "vBBi"},
+        ]
+        config = {
+            "schema": 1,
+            "composite": {
+                "case": "discrete-discrete",
+                "component1": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                "component2": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            },
+            "points": [{"id": "A", "coords": [0.0, 0.0, 0.0]},
+                       {"id": "B", "coords": [1.0, 0.0, 0.0]}],
+            "pairs": [["A", "B"]],
+            "groupoids": {"horizontal": side("h"), "vertical": side("v")},
+            "squares": squares,
+            "tasks": ["squares", "misalign"],
+        }
+        path = tmp_path / "explicit.json"
+        path.write_text(json.dumps(config))
+        assert validate_config(path) == []
+        code, out = run_report(tmp_path, path)
+        assert code == 2
+        tasks = json.loads(out.read_text())["tasks"]
+
+        side_h, side_v = (
+            groupoid_from_dict({"points": config["points"], "arrows": side["arrows"]})
+            for side in (config["groupoids"]["horizontal"], config["groupoids"]["vertical"])
+        )
+        dg = MaterialDoubleGroupoid(
+            side_h, side_v, [square_from_dict(sq, side_h, side_v) for sq in squares]
+        )
+        coarse = coarse_enumerate(side_h, side_v)
+        block = tasks["squares"]
+        assert block["n_stored"] == len(squares)
+        assert block["n_coarse"] == len(coarse) == 2 ** 4 * 2 ** 4
+        assert block["n_commutative"] == sum(1 for sq in coarse if is_commutative(sq))
+        first = squares[0]["corners"]
+        with pytest.raises(NotTriclinicError) as info:
+            misalignment(dg, first["W"], first["Y"])
+        assert block["misalignment_error"] == str(info.value)
+        assert "opposite_pair_max_deviation" not in block
+        assert tasks["misalign"] == {"error": str(info.value)}

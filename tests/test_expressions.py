@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from unilab.errors import (
     EvaluationDomainError,
+    ExpressionCompileError,
     ExpressionSyntaxError,
     NonFiniteError,
     UnknownIdentifierError,
@@ -22,11 +23,13 @@ from unilab.expressions import (
     Mul,
     Num,
     Var,
+    _Parser,
     call_compiled,
     compile_expr,
     diff,
     evaluate,
     parse,
+    to_python_source,
 )
 
 FD_STEP = 1e-5
@@ -195,6 +198,42 @@ class TestDerivative:
     def test_axis_validation(self):
         with pytest.raises(ValueError):
             diff(parse("x1"), 0)
+
+
+# Expressions whose tree is exactly `levels` levels deep, one shape each.
+DEEP_SHAPES = {
+    "sum": lambda levels: "+".join(["x1"] * levels),
+    "quotient": lambda levels: "/".join(["x1", "x2"] * levels)[: 3 * levels - 1],
+    "tower": lambda levels: "^".join(["x1"] * levels),
+    "parentheses": lambda levels: "(" * (levels - 1) + "x1" + ")" * (levels - 1),
+    "squared": lambda levels: "(" * (levels - 2) + "x1" + ")" * (levels - 2) + "^2",
+    "minus": lambda levels: "-" * (levels - 1) + "x1",
+}
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_deepest_accepted_tree_stays_inside_the_recursion_limit(self, shape):
+        e = parse(DEEP_SHAPES[shape](_Parser.MAX_DEPTH))
+        assert math.isfinite(evaluate(e, (1.0, 1.0, 1.0)))
+        for tree in [e] + [diff(e, k) for k in (1, 2, 3)]:
+            to_python_source(tree)
+            try:
+                compile_expr(tree)
+            except ExpressionCompileError:
+                pass  # nesting beyond Python's parser: a located error, not a crash
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_one_level_deeper_is_refused(self, shape):
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse(DEEP_SHAPES[shape](_Parser.MAX_DEPTH + 1))
+        assert info.value.message == f"expression nests deeper than {_Parser.MAX_DEPTH} levels"
+
+    def test_long_sum_is_refused_at_its_last_operator(self):
+        text = "+".join(["x1"] * (_Parser.MAX_DEPTH + 1))
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse(text)
+        assert info.value.offset == text.rindex("+")
 
 
 class TestCompiled:

@@ -9,7 +9,6 @@ from unilab.fields import (
     BodyDomain,
     SampledFrameField,
     SampledVectorField,
-    frame_jet,
 )
 
 ROTATION = [
@@ -195,6 +194,6 @@ class TestFrameJet:
         sampled = SampledFrameField.from_function(lambda p: np.eye(3), dom)
         p = np.array([0.5, 0.5, 0.5])
         for field in (analytic, sampled):
-            value, deriv = frame_jet(field, p)
+            value, deriv = field.jet(p)
             assert np.allclose(value, np.eye(3))
             assert np.allclose(deriv, 0.0)
