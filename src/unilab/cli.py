@@ -43,10 +43,9 @@ from .foliation import (
 )
 from .double_groupoid import (
     MaterialDoubleGroupoid,
-    coarse_enumerate,
+    commuting_squares,
     core,
     filling_check,
-    is_commutative,
     is_compatible,
     misalignment,
     normalizer_criterion,
@@ -221,7 +220,7 @@ def _expression_diagnostics(path: str, text: str) -> list[str]:
     return []
 
 
-def _frame_diagnostics(path: str, node, config_dir: Path) -> list[str]:
+def _frame_diagnostics(path: str, node, config_dir: Path, grids: dict) -> list[str]:
     out: list[str] = []
     if isinstance(node, dict):
         grid = config_dir / node["grid"]
@@ -229,7 +228,7 @@ def _frame_diagnostics(path: str, node, config_dir: Path) -> list[str]:
             out.append(f"{path}.grid: grid file {node['grid']!r} not found")
             return out
         try:
-            SampledFrameField.from_npz(grid)
+            grids[path] = SampledFrameField.from_npz(grid)
         except UnilabError as exc:
             out.append(f"{path}.grid: grid file {node['grid']!r}: {exc}")
         return out
@@ -241,15 +240,21 @@ def _frame_diagnostics(path: str, node, config_dir: Path) -> list[str]:
 
 def validate_config(config_path) -> list[str]:
     """Structural diagnostics for a config file; empty means runnable."""
+    return _check_config(config_path)[0]
+
+
+def _check_config(config_path) -> tuple[list[str], dict[str, SampledFrameField]]:
+    """validate_config's diagnostics, and the grid fields it loaded by component path."""
     config_path = Path(config_path)
+    grids: dict[str, SampledFrameField] = {}
     try:
         raw = config_path.read_bytes()
     except OSError as exc:
-        return [f"config: cannot read {config_path}: {exc}"]
+        return [f"config: cannot read {config_path}: {exc}"], grids
     try:
         config = json.loads(raw)
     except json.JSONDecodeError as exc:
-        return [f"config: invalid JSON: {exc}"]
+        return [f"config: invalid JSON: {exc}"], grids
 
     validator = jsonschema.Draft7Validator(CONFIG_SCHEMA)
     schema_errors = sorted(
@@ -261,13 +266,13 @@ def validate_config(config_path) -> list[str]:
         for err in schema_errors:
             location = ".".join(str(part) for part in err.absolute_path) or "config"
             out.append(f"{location}: {err.message}")
-        return out
+        return out, grids
 
     out: list[str] = []
     config_dir = config_path.parent
     composite = config["composite"]
-    out.extend(_frame_diagnostics("composite.component1", composite["component1"], config_dir))
-    out.extend(_frame_diagnostics("composite.component2", composite["component2"], config_dir))
+    for key in ("component1", "component2"):
+        out.extend(_frame_diagnostics(f"composite.{key}", composite[key], config_dir, grids))
     for key in ("director", "director1", "director2"):
         if key in composite:
             for i, cell in enumerate(composite[key]):
@@ -335,7 +340,7 @@ def validate_config(config_path) -> list[str]:
                            ("s_hat", "vertical"), ("t_hat", "vertical")):
             if sq[slot] not in arrow_ids[side]:
                 out.append(f"squares[{i}].{slot}: unknown {side} arrow id {sq[slot]!r}")
-    return out
+    return out, grids
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +349,9 @@ def validate_config(config_path) -> list[str]:
 
 
 class _Context:
-    def __init__(self, config: dict, config_dir: Path):
+    def __init__(self, config: dict, grids: dict[str, SampledFrameField]):
         self.config = config
-        self.config_dir = config_dir
+        self.grids = grids  # validation's grid fields, by component path
         tolerances = config.get("tolerances", {})
         self.rank_rel_tol = float(tolerances.get("rank_rel_tol", 1e-8))
         self.commutation_tol = float(tolerances.get("commutation_tol", 1e-9))
@@ -354,9 +359,10 @@ class _Context:
         self.max_squares = int(config.get("max_squares", 200_000))
         self.foliation_report = None
 
-    def _frame(self, node):
+    def _frame(self, key: str):
+        node = self.config["composite"][key]
         if isinstance(node, dict):
-            return SampledFrameField.from_npz(self.config_dir / node["grid"])
+            return self.grids[f"composite.{key}"]
         return AnalyticFrameField.from_strings(node)
 
     @cached_property
@@ -368,8 +374,8 @@ class _Context:
             if key in comp
         }
         return CompositeSpec(
-            self._frame(comp["component1"]),
-            self._frame(comp["component2"]),
+            self._frame("component1"),
+            self._frame("component2"),
             SymmetryCase.from_string(comp["case"]),
             **directors,
         )
@@ -413,13 +419,10 @@ class _Context:
         return side_h, side_v
 
     @cached_property
-    def coarse_squares(self) -> list:
+    def commutation(self) -> tuple[int, list]:
+        """The coarse square count and the commuting squares, in coarse order."""
         side_h, side_v = self.sides
-        return coarse_enumerate(side_h, side_v, self.max_squares)
-
-    @cached_property
-    def commuting_squares(self) -> list:
-        return [sq for sq in self.coarse_squares if is_commutative(sq, self.commutation_tol)]
+        return commuting_squares(side_h, side_v, self.commutation_tol, self.max_squares)
 
     @cached_property
     def dgpd(self) -> MaterialDoubleGroupoid:
@@ -430,7 +433,7 @@ class _Context:
             ]
             return MaterialDoubleGroupoid(side_h, side_v, squares, self.commutation_tol)
         return MaterialDoubleGroupoid(
-            side_h, side_v, self.commuting_squares, self.commutation_tol, check=False
+            side_h, side_v, self.commutation[1], self.commutation_tol, check=False
         )
 
 
@@ -487,8 +490,8 @@ def _misalignment_table(ctx: _Context, m) -> dict:
 
 def _task_squares(ctx: _Context) -> dict:
     dg = ctx.dgpd
-    n_coarse = len(ctx.coarse_squares)
-    n_commutative = len(ctx.commuting_squares)
+    n_coarse, commuting = ctx.commutation
+    n_commutative = len(commuting)
     core_groupoid = core(dg)
     uniform = is_transitive(core_groupoid)  # what is_uniform(dg) computes
     block = {
@@ -621,14 +624,14 @@ def _emit(value, out: list[str]) -> None:
 
 def run(config_path, out_path, out_format: str = "json") -> int:
     """Execute the configured tasks and write the report. Returns the exit code."""
-    diagnostics = validate_config(config_path)
+    diagnostics, grids = _check_config(config_path)
     if diagnostics:
         for line in diagnostics:
             print(line)
         return 1
     config_bytes = Path(config_path).read_bytes()
     config = json.loads(config_bytes)
-    ctx = _Context(config, Path(config_path).parent)
+    ctx = _Context(config, grids)
     task_blocks: dict[str, dict] = {}
     failed = False
     for task in config["tasks"]:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import NotComposableError, NotTransitiveError, UnilabError
+from .errors import NotComposableError, NotTransitiveError, UnilabError, raise_first
 from .fields import FrameField
 from .linalg3 import Mat3, Vec3, as_mat3, as_vec3, invert, singular_tolerance
 from .measures import FiniteMatrixGroup
@@ -240,9 +240,14 @@ def from_point_frames(base: PointSet, frames: Mapping[PointId, Mat3],
 
 def from_frame_field(field: FrameField, base: PointSet,
                      tolerance: float = DEFAULT_ARROW_TOL) -> FiniteGroupoid:
-    """Material groupoid of a frame field restricted to the base points."""
-    frames = {pid: field.value(base.coords(pid)) for pid in base.ids}
-    return from_point_frames(base, frames, tolerance)
+    """Material groupoid of a frame field restricted to the base points.
+
+    The field is evaluated once over all the points; a failure raises the
+    error of the first failing point in base order.
+    """
+    values, failures = field.value_stack(np.array([xyz for _, xyz in base.items]).reshape(-1, 3))
+    raise_first(failures)
+    return from_point_frames(base, dict(zip(base.ids, values)), tolerance)
 
 
 # ---------------------------------------------------------------------------

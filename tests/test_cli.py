@@ -180,6 +180,32 @@ class TestValidation:
         assert code == 1
         assert not out.exists()
 
+    def test_run_loads_each_grid_once(self, tmp_path, monkeypatch):
+        np.savez(
+            tmp_path / "component2.npz",
+            lower=np.zeros(3), spacing=np.full(3, 0.5), values=np.tile(np.eye(3), (3, 3, 3, 1, 1)),
+        )
+        config = json.loads(GOOD[2].read_text())
+        config["composite"]["component2"] = {"grid": "component2.npz"}
+        config.pop("domain")
+        config["points"] = [{"id": "A", "coords": [0.2, 0.4, 0.6]},
+                            {"id": "B", "coords": [0.9, 0.1, 0.5]}]
+        config["tasks"] = ["squares"]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(config))
+        loads = []
+        from_npz = SampledFrameField.from_npz.__func__
+
+        def counting(cls, grid):
+            loads.append(Path(grid).name)
+            return from_npz(cls, grid)
+
+        monkeypatch.setattr(SampledFrameField, "from_npz", classmethod(counting))
+        code, out = run_report(tmp_path, path)
+        assert code == 0
+        assert loads == ["component2.npz"]
+        assert json.loads(out.read_text())["tasks"]["squares"]["n_coarse"] == 2 ** 4
+
     def test_run_refuses_invalid_config(self, tmp_path):
         code, out = run_report(tmp_path, CONFIG_DIR / "bad_schema.json")
         assert code == 1

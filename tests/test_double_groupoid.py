@@ -1,10 +1,16 @@
 """Squares over two side groupoids: products, units, interchange, core,
 misalignment, configuration changes, compatibility, complements."""
 import functools
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from unilab.cli import main
 from unilab.errors import (
     InconsistentCornersError,
     NotComposableError,
@@ -23,16 +29,20 @@ from unilab.groupoid import (
     arrows_match,
     from_frame_field,
     from_point_frames,
+    groupoid_from_dict,
     is_transitive as groupoid_is_transitive,
     unit_arrow,
 )
 from unilab.double_groupoid import (
+    DEFAULT_COMMUTATION_TOL,
+    DEFAULT_SQUARE_CAP,
     MaterialDoubleGroupoid,
     Square,
     apply_config_change,
     check_square,
     coarse_enumerate,
     commutation_defect,
+    commuting_squares,
     complementary_square,
     core,
     filling_check,
@@ -480,3 +490,201 @@ class TestSquarePersistence:
         data["s"] = "nope"
         with pytest.raises(UnilabError):
             square_from_dict(data, dg.side_h, dg.side_v)
+
+
+# ---------------------------------------------------------------------------
+# Index enumeration and the stacked commutation filter
+# ---------------------------------------------------------------------------
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+@functools.lru_cache(maxsize=None)
+def workloads():
+    """The benchmark's seeded config generators."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclass() looks its module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_sides(name, seed, directory):
+    """The two side groupoids `unilab run` builds for a generated squares config."""
+    config = json.loads(workloads().WORKLOADS[name].generate(seed, Path(directory)).read_text())
+    points = PointSet.from_pairs((p["id"], p["coords"]) for p in config["points"])
+    composite = config["composite"]
+    return tuple(
+        from_frame_field(AnalyticFrameField.from_strings(composite[key]), points)
+        for key in ("component1", "component2")
+    )
+
+
+def order_two_sides():
+    """Two points, and two arrows per ordered pair on each side: the identity and a half turn."""
+    points = [{"id": "A", "coords": [0.0, 0.0, 0.0]}, {"id": "B", "coords": [1.0, 0.0, 0.0]}]
+    flip = [-1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0]
+    identity = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+    return tuple(
+        groupoid_from_dict({"points": points, "arrows": [
+            {"id": f"{prefix}{a}{b}{name}", "source": a, "target": b, "map": m}
+            for a in "AB" for b in "AB" for name, m in (("i", identity), ("f", flip))
+        ]})
+        for prefix in "hv"
+    )
+
+
+def irregular_sides():
+    """Arrow sets that are no groupoids: one-way arrows, repeated and missing pairs."""
+    rng = np.random.default_rng(5)
+    base = PointSet.from_pairs([(pid, [float(i), 0.0, 0.0]) for i, pid in enumerate("ABC")])
+    maps = [np.eye(3), rot_z(30), rot_x(45)]
+
+    def side(prefix, n_arrows):
+        arrows = []
+        for k in range(n_arrows):
+            source, target = rng.choice(list("ABC"), 2)
+            arrows.append(Arrow(f"{prefix}{k}", str(source), str(target), maps[rng.integers(3)]))
+        return FiniteGroupoid(base, arrows, check=False)
+
+    return side("h", 9), side("v", 7)
+
+
+def reference_coarse(side_h, side_v):
+    """(s, t, s_hat, t_hat) of every coarse square, as a plain nested loop over the arrows."""
+    rows = []
+    for s_hat in side_v.arrows:
+        for s in side_h.arrows:
+            if s.source != s_hat.source:
+                continue
+            for t in side_h.arrows:
+                if t.source != s_hat.target:
+                    continue
+                for t_hat in side_v.arrows:
+                    if (t_hat.source, t_hat.target) == (s.target, t.target):
+                        rows.append((s, t, s_hat, t_hat))
+    return rows
+
+
+def assert_same_squares(got, expected):
+    """Same corners, and the very same arrow objects, square by square in order."""
+    assert [(sq.W, sq.X, sq.Y, sq.Z) for sq in got] == [(sq.W, sq.X, sq.Y, sq.Z) for sq in expected]
+    for a, b in zip(got, expected):
+        assert a.s is b.s and a.t is b.t and a.s_hat is b.s_hat and a.t_hat is b.t_hat
+
+
+SIDE_CASES = [
+    ("squares-sparse", 1),
+    ("squares-sparse", 7),
+    ("squares-uniform", 1),
+    ("squares-uniform", 7),
+    ("order-two", None),
+    ("irregular", None),
+]
+
+
+def case_id(case):
+    return "-".join(str(part) for part in case if part is not None)
+
+
+@pytest.fixture
+def sides(request, tmp_path_factory):
+    name, seed = request.param
+    if name == "order-two":
+        return order_two_sides()
+    if name == "irregular":
+        return irregular_sides()
+    return workload_sides(name, seed, str(tmp_path_factory.mktemp(f"{name}-{seed}")))
+
+
+class TestCommutingSquares:
+    @pytest.mark.parametrize("sides", SIDE_CASES, indirect=True, ids=case_id)
+    def test_matches_the_scalar_filter(self, sides):
+        side_h, side_v = sides
+        coarse = coarse_enumerate(side_h, side_v)
+        expected = [sq for sq in coarse if is_commutative(sq, DEFAULT_COMMUTATION_TOL)]
+        n_coarse, got = commuting_squares(
+            side_h, side_v, DEFAULT_COMMUTATION_TOL, DEFAULT_SQUARE_CAP
+        )
+        assert n_coarse == len(coarse)
+        assert_same_squares(got, expected)
+
+    @pytest.mark.parametrize("sides", SIDE_CASES, indirect=True, ids=case_id)
+    def test_enumeration_order_is_the_nested_loop(self, sides):
+        side_h, side_v = sides
+        coarse = coarse_enumerate(side_h, side_v)
+        reference = reference_coarse(side_h, side_v)
+        assert len(coarse) == len(reference)
+        for sq, (s, t, s_hat, t_hat) in zip(coarse, reference):
+            assert sq.s is s and sq.t is t and sq.s_hat is s_hat and sq.t_hat is t_hat
+            assert (sq.W, sq.X, sq.Y, sq.Z) == (s_hat.source, s_hat.target, s.target, t.target)
+            check_square(sq)
+
+    def test_workload_counts(self, tmp_path):
+        n = workloads().SPARSE_POINTS
+        n_coarse, kept = commuting_squares(*workload_sides("squares-sparse", 1, str(tmp_path)))
+        assert (n_coarse, len(kept)) == (n ** 4, 2 * n ** 2 - n)
+        n = workloads().UNIFORM_POINTS
+        n_coarse, kept = commuting_squares(*workload_sides("squares-uniform", 1, str(tmp_path)))
+        assert n_coarse == len(kept) == n ** 4
+
+    def test_defect_at_the_tolerance_edge(self):
+        base = PointSet.from_pairs([("A", [0.0, 0.0, 0.0])])
+        nudge = np.eye(3) + 1e-9 * np.array([[0.3, -0.7, 0.1], [0.2, 0.5, -0.4], [0.9, 0.1, 0.6]])
+        side_h = FiniteGroupoid(base, [unit_arrow("A"), Arrow("a", "A", "A", nudge)], check=False)
+        side_v = FiniteGroupoid(base, [unit_arrow("A")], check=False)
+        coarse = coarse_enumerate(side_h, side_v)
+        defects = [commutation_defect(sq) for sq in coarse]
+        # (s, t) = (unit, a) and (a, unit) miss commuting by different amounts.
+        assert defects[0] == defects[3] == 0.0 and 0.0 < defects[1] < defects[2]
+        cases = [
+            (defects[1], [0, 1, 3]),                    # a defect exactly the tolerance
+            (np.nextafter(defects[1], 0.0), [0, 3]),    # a defect one step above it
+            (defects[2], [0, 1, 2, 3]),
+            (np.nextafter(defects[2], 0.0), [0, 1, 3]),
+        ]
+        for tolerance, kept in cases:
+            expected = [sq for sq in coarse if is_commutative(sq, tolerance)]
+            assert_same_squares(expected, [coarse[i] for i in kept])
+            n_coarse, got = commuting_squares(side_h, side_v, tolerance)
+            assert n_coarse == 4
+            assert_same_squares(got, expected)
+
+    @pytest.mark.parametrize("sides", SIDE_CASES[2:], indirect=True, ids=case_id)
+    def test_size_cap(self, sides):
+        side_h, side_v = sides
+        n_coarse = len(coarse_enumerate(side_h, side_v))
+        message = f"coarse enumeration exceeds the cap of {n_coarse - 1} squares"
+        for enumerate_ in (coarse_enumerate, MaterialDoubleGroupoid.from_sides):
+            with pytest.raises(SizeLimitError) as info:
+                enumerate_(side_h, side_v, max_squares=n_coarse - 1)
+            assert str(info.value) == message
+        with pytest.raises(SizeLimitError) as info:
+            commuting_squares(side_h, side_v, DEFAULT_COMMUTATION_TOL, n_coarse - 1)
+        assert str(info.value) == message
+        assert len(coarse_enumerate(side_h, side_v, n_coarse)) == n_coarse
+        assert commuting_squares(side_h, side_v, DEFAULT_COMMUTATION_TOL, n_coarse)[0] == n_coarse
+
+    def test_empty_sides(self):
+        base = PointSet.from_pairs([("A", [0.0, 0.0, 0.0])])
+        empty = FiniteGroupoid(base, [])
+        side = FiniteGroupoid(base, [unit_arrow("A")])
+        for pair in ((empty, empty), (empty, side), (side, empty)):
+            assert coarse_enumerate(*pair) == []
+            assert commuting_squares(*pair) == (0, [])
+
+
+# sha256 of the squares workload reports at seed 1, as written before the
+# commutation filter ran on stacked arrow maps.
+GOLDEN = {
+    "squares-sparse": "a9aea73a950159ed33fdb0f14513c67b5a34a0c86ad405ae43417fdd3ebe377d",
+    "squares-uniform": "74e017c221d948c9c8634f5759cb94f4f56aa6e7139b34e6da33091b06f34fb8",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_squares_reports(tmp_path, name):
+    config = workloads().WORKLOADS[name].generate(1, tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]

@@ -162,6 +162,43 @@ class TestFromFrames:
         p_a = field.value(POINTS.coords("A"))
         assert np.allclose(a.map, p_b @ np.linalg.inv(p_a), atol=1e-13)
 
+    def test_from_frame_field_evaluates_the_field_once(self):
+        field = AnalyticFrameField.from_strings(
+            [["cos(x1/2)", "-sin(x1/2)", "0"], ["sin(x1/2)", "cos(x1/2)", "0"], ["0", "0", "1"]]
+        )
+        calls = []
+
+        class Counting:
+            def value_stack(self, points):
+                calls.append(len(points))
+                return field.value_stack(points)
+
+        g = from_frame_field(Counting(), POINTS)
+        assert calls == [len(POINTS)]
+        frames = {pid: field.value(POINTS.coords(pid)) for pid in POINTS.ids}
+        for a, b in zip(g.arrows, from_point_frames(POINTS, frames).arrows):
+            assert (a.id, a.source, a.target) == (b.id, b.source, b.target)
+            assert np.array_equal(a.map, b.map)
+
+    @pytest.mark.parametrize("entry", ["x1", "1/x1", "log(x1)", "log(x1 + 1)"])
+    def test_from_frame_field_raises_the_first_points_error(self, entry):
+        field = AnalyticFrameField.from_strings([[entry, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+        base = PointSet.from_pairs(
+            [("A", [2.0, 0.0, 0.0]), ("B", [-1.0, 0.0, 0.0]), ("C", [0.0, 0.0, 0.0]),
+             ("D", [1.0, 0.0, 0.0])]
+        )
+        expected = None
+        for pid in base.ids:
+            try:
+                field.value(base.coords(pid))
+            except UnilabError as exc:
+                expected = exc
+                break
+        assert expected is not None
+        with pytest.raises(type(expected)) as info:
+            from_frame_field(field, base)
+        assert str(info.value) == str(expected)
+
     def test_composition_is_closed(self):
         g = from_point_frames(POINTS, self.frames())
         ab = g.between("A", "B")[0]
