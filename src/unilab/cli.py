@@ -16,7 +16,7 @@ import hashlib
 import itertools
 import json
 import sys
-from functools import cache, cached_property, partial
+from functools import cached_property
 from pathlib import Path
 
 import jsonschema
@@ -43,13 +43,13 @@ from .foliation import (
 )
 from .double_groupoid import (
     MaterialDoubleGroupoid,
-    commuting_squares,
+    commuting_rows,
     core,
-    filling_check,
     is_compatible,
-    misalignment,
     normalizer_criterion,
+    opposite_pair_max_deviation,
     square_from_dict,
+    unfillable_indices,
 )
 from .groupoid import FiniteGroupoid, PointSet, from_frame_field, groupoid_from_dict, is_transitive
 from .infinitesimal import KINDS, classify_stack
@@ -286,6 +286,14 @@ def _check_config(config_path) -> tuple[list[str], dict[str, SampledFrameField]]
     ):
         out.append("composite: case transiso-transiso requires director1 and director2")
 
+    if "domain" in config:
+        domain = config["domain"]
+        for k, (lower, upper) in enumerate(zip(domain["lower"], domain["upper"])):
+            if upper <= lower:
+                out.append(
+                    f"domain.upper[{k}]: {upper!r} does not exceed domain.lower[{k}] = {lower!r}"
+                )
+
     tasks = set(config["tasks"])
     if tasks & _TASKS_NEEDING_DOMAIN and "domain" not in config:
         out.append(
@@ -419,10 +427,10 @@ class _Context:
         return side_h, side_v
 
     @cached_property
-    def commutation(self) -> tuple[int, list]:
-        """The coarse square count and the commuting squares, in coarse order."""
+    def commutation(self) -> tuple[int, np.ndarray]:
+        """The coarse square count and the commuting squares' arrow-index rows, in coarse order."""
         side_h, side_v = self.sides
-        return commuting_squares(side_h, side_v, self.commutation_tol, self.max_squares)
+        return commuting_rows(side_h, side_v, self.commutation_tol, self.max_squares)
 
     @cached_property
     def dgpd(self) -> MaterialDoubleGroupoid:
@@ -432,8 +440,8 @@ class _Context:
                 square_from_dict(sq, side_h, side_v) for sq in self.config["squares"]
             ]
             return MaterialDoubleGroupoid(side_h, side_v, squares, self.commutation_tol)
-        return MaterialDoubleGroupoid(
-            side_h, side_v, self.commutation[1], self.commutation_tol, check=False
+        return MaterialDoubleGroupoid.from_rows(
+            side_h, side_v, self.commutation[1], self.commutation_tol
         )
 
 
@@ -497,26 +505,17 @@ def _task_squares(ctx: _Context) -> dict:
     block = {
         "n_points": len(ctx.points),
         "n_coarse": n_coarse,
-        "n_stored": len(dg.squares),
+        "n_stored": len(dg.rows),
         "n_commutative": n_commutative,
         "all_commutative": n_commutative == n_coarse,
         "core_arrow_count": len(core_groupoid.arrows),
         "core_transitive": uniform,
         "uniform": uniform,
-        "unfillable_pairs": len(filling_check(dg)),
+        "unfillable_pairs": len(unfillable_indices(dg)[0]),
     }
-    # One misalignment per ordered pair, first asked for in square order.
-    m = cache(lambda x, y: misalignment(dg, x, y))
     try:
-        deviation = 0.0
-        for sq in dg.squares:
-            deviation = max(
-                deviation,
-                float(np.max(np.abs(m(sq.W, sq.Y) - m(sq.X, sq.Z)))),
-                float(np.max(np.abs(m(sq.W, sq.X) - m(sq.Y, sq.Z)))),
-            )
-        block["opposite_pair_max_deviation"] = deviation
-        block["misalignments"] = _misalignment_table(ctx, m)
+        block["opposite_pair_max_deviation"] = opposite_pair_max_deviation(dg)
+        block["misalignments"] = _misalignment_table(ctx, dg.misalignments)
     except UnilabError as exc:
         block["misalignment_error"] = str(exc)
     return block
@@ -524,7 +523,7 @@ def _task_squares(ctx: _Context) -> dict:
 
 def _task_misalign(ctx: _Context) -> dict:
     dg = ctx.dgpd
-    block = {"pairs": _misalignment_table(ctx, partial(misalignment, dg))}
+    block = {"pairs": _misalignment_table(ctx, dg.misalignments)}
     comparisons = []
     for pair1, pair2 in ctx.config.get("pair_comparisons", []):
         entry = {

@@ -20,6 +20,7 @@ consistent on 2x2 blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -36,14 +37,19 @@ from .errors import (
 )
 from .groupoid import (
     Arrow,
+    ArrowStack,
     FiniteGroupoid,
     PointId,
     arrows_match,
     compose_arrows,
+    first_true,
     is_transitive,
+    join_groups,
+    key_groups,
+    maps_close,
     unit_arrow,
 )
-from .linalg3 import Mat3, as_mat3, invert, singular_tolerance
+from .linalg3 import Mat3, as_mat3, invert, is_singular, singular_tolerance
 
 DEFAULT_COMMUTATION_TOL = 1e-9
 DEFAULT_SQUARE_CAP = 200_000
@@ -214,23 +220,14 @@ def transpose(sq: Square) -> Square:
 # ---------------------------------------------------------------------------
 
 
-def _groups(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrows grouped by a key in range(n_keys): (arrow order, group starts, group sizes)."""
-    sizes = np.bincount(keys, minlength=n_keys)
-    return np.argsort(keys, kind="stable"), np.cumsum(sizes) - sizes, sizes
-
-
 def _join(columns: list[np.ndarray], keys: np.ndarray, groups) -> list[np.ndarray]:
     """Extend each row by every arrow of its key's group, in arrow order.
 
     columns hold one arrow index per row and keys[r] is the group row r
     joins. Rows keep their order, so the result is a nested loop's order.
     """
-    order, starts, sizes = groups
-    per_row = sizes[keys]
-    row = np.repeat(np.arange(len(keys)), per_row)
-    offset = np.arange(len(row)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    return [c[row] for c in columns] + [order[starts[keys][row] + offset]]
+    row, arrow = join_groups(keys, groups)
+    return [c[row] for c in columns] + [arrow]
 
 
 def _coarse_rows(
@@ -266,8 +263,8 @@ def _coarse_rows(
 
 
 def _row_blocks(h: np.ndarray, v: np.ndarray, n: int, per_s_hat: list[int]) -> Iterator[np.ndarray]:
-    by_source_h = _groups(h[:, 0], n)
-    by_pair_v = _groups(v[:, 0] * n + v[:, 1], n * n)
+    by_source_h = key_groups(h[:, 0], n)
+    by_pair_v = key_groups(v[:, 0] * n + v[:, 1], n * n)
     start = 0
     while start < len(v):
         # As many s_hat arrows as fit in one block, and at least one.
@@ -286,8 +283,8 @@ def _row_blocks(h: np.ndarray, v: np.ndarray, n: int, per_s_hat: list[int]) -> I
         start = stop
 
 
-def _squares_at(side_h: FiniteGroupoid, side_v: FiniteGroupoid, rows: np.ndarray) -> list[Square]:
-    h, v = side_h.arrows, side_v.arrows
+def _squares_at(h: list[Arrow], v: list[Arrow], rows: np.ndarray) -> list[Square]:
+    """Square objects of arrow-index rows into the horizontal and vertical arrow lists."""
     return [
         Square(W=v[k].source, X=v[k].target, Y=h[i].target, Z=h[j].target,
                s=h[i], t=h[j], s_hat=v[k], t_hat=v[m])
@@ -302,7 +299,40 @@ def coarse_enumerate(
 ) -> list[Square]:
     """All endpoint-consistent squares over the two side groupoids."""
     _, blocks = _coarse_rows(side_h, side_v, max_squares)
-    return [sq for rows in blocks for sq in _squares_at(side_h, side_v, rows)]
+    return [sq for rows in blocks for sq in _squares_at(side_h.arrows, side_v.arrows, rows)]
+
+
+def _commuting(maps_h: np.ndarray, maps_v: np.ndarray, rows: np.ndarray, tolerance: float):
+    """Which rows commute, as is_commutative decides, tested SQUARE_BLOCK rows at a time.
+
+    Stacked @ computes each 3x3 product as a single @ does, so every
+    defect is the one commutation_defect returns.
+    """
+    keep = np.empty(len(rows), dtype=bool)
+    for start in range(0, len(rows), SQUARE_BLOCK):
+        block = rows[start:start + SQUARE_BLOCK]
+        left = maps_h[block[:, 1]] @ maps_v[block[:, 2]]     # t s_hat
+        right = maps_v[block[:, 3]] @ maps_h[block[:, 0]]    # t_hat s
+        defect = np.abs(left - right).max(axis=(1, 2)) / (1.0 + np.abs(left).max(axis=(1, 2)))
+        keep[start:start + len(block)] = defect <= tolerance
+    return keep
+
+
+def commuting_rows(
+    side_h: FiniteGroupoid,
+    side_v: FiniteGroupoid,
+    tolerance: float = DEFAULT_COMMUTATION_TOL,
+    max_squares: int = DEFAULT_SQUARE_CAP,
+) -> tuple[int, np.ndarray]:
+    """The number of coarse squares, and the (K, 4) rows of the commuting ones in coarse order.
+
+    Keeps what is_commutative keeps, testing a block of coarse rows at a
+    time on stacked arrow maps.
+    """
+    total, blocks = _coarse_rows(side_h, side_v, max_squares)
+    maps_h, maps_v = side_h.stack.maps, side_v.stack.maps
+    kept = [rows[_commuting(maps_h, maps_v, rows, tolerance)] for rows in blocks]
+    return total, np.concatenate(kept) if kept else np.empty((0, 4), dtype=np.intp)
 
 
 def commuting_squares(
@@ -311,27 +341,20 @@ def commuting_squares(
     tolerance: float = DEFAULT_COMMUTATION_TOL,
     max_squares: int = DEFAULT_SQUARE_CAP,
 ) -> tuple[int, list[Square]]:
-    """The number of coarse squares, and the commuting ones in coarse order.
-
-    Keeps what is_commutative keeps, but tests a block of squares at a
-    time on stacked arrow maps and builds a Square only for those that
-    pass. Stacked @ computes each 3x3 product as a single @ does, so
-    every defect is the one commutation_defect returns.
-    """
-    total, blocks = _coarse_rows(side_h, side_v, max_squares)
-    maps_h = np.array([a.map for a in side_h.arrows])
-    maps_v = np.array([a.map for a in side_v.arrows])
-    squares: list[Square] = []
-    for rows in blocks:
-        left = maps_h[rows[:, 1]] @ maps_v[rows[:, 2]]     # t s_hat
-        right = maps_v[rows[:, 3]] @ maps_h[rows[:, 0]]    # t_hat s
-        defect = np.abs(left - right).max(axis=(1, 2)) / (1.0 + np.abs(left).max(axis=(1, 2)))
-        squares += _squares_at(side_h, side_v, rows[defect <= tolerance])
-    return total, squares
+    """The number of coarse squares, and the commuting ones in coarse order."""
+    total, rows = commuting_rows(side_h, side_v, tolerance, max_squares)
+    return total, _squares_at(side_h.arrows, side_v.arrows, rows)
 
 
 class MaterialDoubleGroupoid:
-    """Two side groupoids on one base plus a set of commuting squares."""
+    """Two side groupoids on one base plus a set of commuting squares.
+
+    The squares are kept as rows (s, t, s_hat, t_hat) of indices into two
+    arrow tables, one per side: the side's arrows, then any other arrow a
+    given square carries (a composite, say). A square's corners are its
+    arrows' endpoints. Square objects are built when .squares is first
+    read, unless the squares were given as objects.
+    """
 
     def __init__(
         self,
@@ -341,17 +364,54 @@ class MaterialDoubleGroupoid:
         tolerance: float = DEFAULT_COMMUTATION_TOL,
         check: bool = True,
     ):
+        squares = list(squares)
+        tables = (list(side_h.arrows), list(side_v.arrows))
+        numbers = [{id(a): i for i, a in enumerate(table)} for table in tables]
+
+        def number(arrow: Arrow, side: int) -> int:
+            i = numbers[side].setdefault(id(arrow), len(tables[side]))
+            if i == len(tables[side]):
+                tables[side].append(arrow)
+            return i
+
+        rows = np.array(
+            [(number(sq.s, 0), number(sq.t, 0), number(sq.s_hat, 1), number(sq.t_hat, 1))
+             for sq in squares],
+            dtype=np.intp,
+        ).reshape(-1, 4)
+        self._setup(side_h, side_v, tables, rows, tolerance)
+        self._squares = squares
+        if check:
+            table_h, table_v = self.stacks
+            commuting = _commuting(table_h.maps, table_v.maps, rows, self.tolerance)
+            for sq, commutes in zip(squares, commuting):
+                check_square(sq)
+                if not commutes:
+                    raise UnilabError("stored square violates the commutation condition")
+
+    def _setup(self, side_h, side_v, tables, rows, tolerance) -> None:
         if set(side_h.base.ids) != set(side_v.base.ids):
             raise UnilabError("side groupoids must share one point base")
         self.side_h = side_h
         self.side_v = side_v
-        self.squares = list(squares)
+        self.tables: tuple[list[Arrow], list[Arrow]] = tables
+        self.rows = rows
         self.tolerance = float(tolerance)
-        if check:
-            for sq in self.squares:
-                check_square(sq)
-                if not is_commutative(sq, self.tolerance):
-                    raise UnilabError("stored square violates the commutation condition")
+        self._squares: list[Square] | None = None
+
+    @classmethod
+    def from_rows(
+        cls,
+        side_h: FiniteGroupoid,
+        side_v: FiniteGroupoid,
+        rows: np.ndarray,
+        tolerance: float = DEFAULT_COMMUTATION_TOL,
+        tables: tuple[list[Arrow], list[Arrow]] | None = None,
+    ) -> "MaterialDoubleGroupoid":
+        """Squares as rows into two arrow tables, the sides' arrows by default; taken to commute."""
+        dg = cls.__new__(cls)
+        dg._setup(side_h, side_v, tables or (side_h.arrows, side_v.arrows), rows, tolerance)
+        return dg
 
     @classmethod
     def from_sides(
@@ -361,8 +421,24 @@ class MaterialDoubleGroupoid:
         tolerance: float = DEFAULT_COMMUTATION_TOL,
         max_squares: int = DEFAULT_SQUARE_CAP,
     ) -> "MaterialDoubleGroupoid":
-        _, squares = commuting_squares(side_h, side_v, tolerance, max_squares)
-        return cls(side_h, side_v, squares, tolerance, check=False)
+        _, rows = commuting_rows(side_h, side_v, tolerance, max_squares)
+        return cls.from_rows(side_h, side_v, rows, tolerance)
+
+    @property
+    def squares(self) -> list[Square]:
+        if self._squares is None:
+            self._squares = _squares_at(*self.tables, self.rows)
+        return self._squares
+
+    @cached_property
+    def stacks(self) -> tuple[ArrowStack, ArrowStack]:
+        """The two arrow tables as arrays, points numbered in side_h's base order, then as met."""
+        index = {pid: i for i, pid in enumerate(self.side_h.base.ids)}
+        return ArrowStack(self.tables[0], index), ArrowStack(self.tables[1], index)
+
+    @cached_property
+    def misalignments(self) -> "Misalignments":
+        return Misalignments(self)
 
     def side(self, component: int) -> FiniteGroupoid:
         if component == 1:
@@ -372,47 +448,84 @@ class MaterialDoubleGroupoid:
         raise ValueError("component must be 1 or 2")
 
 
+def _side_matches(table: ArrowStack, n_side: int, tolerance: float):
+    """For each table arrow, the side arrows (the table's first n_side) it matches.
+
+    The result is groups keyed by table index, for join_groups; a group
+    lists its side arrows in side order.
+    """
+    side = slice(0, n_side)
+    by_key = key_groups(
+        table.keys(table.source[side], table.target[side], table.paired[side]),
+        2 * table.n_points ** 2,
+    )
+    row, arrow = join_groups(table.keys(table.source, table.target, table.paired), by_key)
+    maps2 = None if table.maps2 is None else table.maps2[row]
+    found = table.matches(arrow, table.maps[row], maps2, tolerance)
+    order, starts, sizes = key_groups(row[found], len(table))
+    return arrow[found][order], starts, sizes
+
+
+def unfillable_indices(dg: MaterialDoubleGroupoid) -> tuple[np.ndarray, np.ndarray]:
+    """filling_check's pairs as indices into side_h.arrows and side_v.arrows."""
+    table_h, table_v = dg.stacks
+    n_h, n_v = len(dg.side_h.arrows), len(dg.side_v.arrows)
+    # The distinct (s, s_hat) of the stored squares, then the side arrows they match.
+    heads = np.zeros((len(table_h), len(table_v)), dtype=bool)
+    heads[dg.rows[:, 0], dg.rows[:, 2]] = True
+    heads_h, heads_v = np.nonzero(heads)
+    row, s = join_groups(heads_h, _side_matches(table_h, n_h, dg.tolerance))
+    row, s_hat = join_groups(heads_v[row], _side_matches(table_v, n_v, dg.tolerance))
+    filled = np.zeros(n_h * n_v, dtype=bool)
+    filled[s[row] * n_v + s_hat] = True
+    by_source_v = key_groups(table_v.source[:n_v], table_h.n_points)
+    s, s_hat = join_groups(table_h.source[:n_h], by_source_v)
+    unfilled = ~filled[s * n_v + s_hat]
+    return s[unfilled], s_hat[unfilled]
+
+
 def filling_check(dg: MaterialDoubleGroupoid) -> list[tuple[Arrow, Arrow]]:
-    """Pairs (s, s_hat) sharing a source corner that head no stored square."""
-    by_sources: dict[tuple[PointId, PointId, PointId], list[Square]] = {}
-    for sq in dg.squares:
-        by_sources.setdefault((sq.W, sq.Y, sq.X), []).append(sq)
-    unfillable = []
-    for s in dg.side_h.arrows:
-        for s_hat in dg.side_v.arrows:
-            if s.source != s_hat.source:
-                continue
-            candidates = by_sources.get((s.source, s.target, s_hat.target), [])
-            if not any(
-                arrows_match(sq.s, s, dg.tolerance)
-                and arrows_match(sq.s_hat, s_hat, dg.tolerance)
-                for sq in candidates
-            ):
-                unfillable.append((s, s_hat))
-    return unfillable
+    """Pairs (s, s_hat) sharing a source corner that head no stored square.
+
+    A stored square heads (s, s_hat) when its own s and s_hat match them
+    (arrows_match). The pairs come s-major, each side in arrow order.
+    """
+    s, s_hat = unfillable_indices(dg)
+    return [
+        (dg.side_h.arrows[i], dg.side_v.arrows[k]) for i, k in zip(s.tolist(), s_hat.tolist())
+    ]
 
 
 def core(dg: MaterialDoubleGroupoid) -> FiniteGroupoid:
     """Groupoid of squares whose source corners collapse: W = X = Y with unit s, s_hat.
 
     Each qualifying square contributes one arrow W -> Z carrying the pair
-    (t.map, t_hat.map) as a two-payload product representation. Units
-    come from the stored double-unit squares.
+    (t.map, t_hat.map) as a two-payload product representation, unless
+    it matches an arrow an earlier square contributed. Units come from
+    the stored double-unit squares.
     """
     tol = dg.tolerance
-    arrows: list[Arrow] = []
-    counter = 0
-    for sq in dg.squares:
-        if not (sq.W == sq.X == sq.Y):
-            continue
-        if not arrows_match(sq.s, unit_arrow(sq.W), tol):
-            continue
-        if not arrows_match(sq.s_hat, unit_arrow(sq.W), tol):
-            continue
-        candidate = Arrow(f"core{counter}:{sq.W}->{sq.Z}", sq.W, sq.Z, sq.t.map, sq.t_hat.map)
-        if not any(arrows_match(candidate, a, tol) for a in arrows):
-            arrows.append(candidate)
-            counter += 1
+    table_h, table_v = dg.stacks
+    rows = dg.rows
+    picked = rows[table_h.units(tol)[rows[:, 0]] & table_v.units(tol)[rows[:, 2]]]
+    s, t, t_hat = picked[:, 0], picked[:, 1], picked[:, 3]
+    n = table_h.n_points
+    keep = np.ones(len(picked), dtype=bool)
+    order, starts, sizes = key_groups(table_h.source[s] * n + table_h.target[t], n * n)
+    multiple = np.flatnonzero(sizes * (sizes - 1))  # groups of two or more
+    for start, size in zip(starts[multiple].tolist(), sizes[multiple].tolist()):
+        kept = [order[start]]
+        for c in order[start + 1:start + size]:
+            if np.any(maps_close(table_h.maps[t[kept]], table_h.maps[t[c]], tol)
+                      & maps_close(table_v.maps[t_hat[kept]], table_v.maps[t_hat[c]], tol)):
+                keep[c] = False
+            else:
+                kept.append(c)
+    arrows_h, arrows_v = dg.tables
+    arrows = []
+    for k, (i, j, m) in enumerate(zip(s[keep].tolist(), t[keep].tolist(), t_hat[keep].tolist())):
+        w, z = arrows_h[i].source, arrows_h[j].target
+        arrows.append(Arrow(f"core{k}:{w}->{z}", w, z, arrows_h[j].map, arrows_v[m].map))
     return FiniteGroupoid(dg.side_h.base, arrows, tol)
 
 
@@ -442,9 +555,86 @@ def misalignment(dg: MaterialDoubleGroupoid, x: PointId, y: PointId) -> Mat3:
     tangent spaces at x and y correspond, i.e. when x and y are
     materially isomorphic as points of the composite.
     """
-    u = _unique_arrow(dg.side_h, x, y)
-    u_star = _unique_arrow(dg.side_v, x, y)
-    return invert(u_star.map) @ u.map
+    return dg.misalignments(x, y).copy()
+
+
+class Misalignments:
+    """The misalignment of every ordered pair of points, read as m(x, y).
+
+    The pairs with a unique arrow on each side and a regular u* map get
+    theirs at once, as stacked inv(u*) @ u; stacked inv and @ compute
+    each matrix as the single-matrix calls do. Any other pair raises its
+    error when asked for: a missing or repeated horizontal arrow first,
+    then the vertical one, then invert's. The table is read-only.
+    """
+
+    def __init__(self, dg: MaterialDoubleGroupoid):
+        self._dg = dg
+        table_h, table_v = dg.stacks
+        self._index = {pid: i for i, pid in enumerate(dg.side_h.base.ids)}
+        self._n = n = table_h.n_points
+        u, unique_h = _unique_arrows(table_h, len(dg.side_h.arrows), n)
+        u_star, unique_v = _unique_arrows(table_v, len(dg.side_v.arrows), n)
+        self.ok = unique_h & unique_v
+        v = table_v.maps[u_star[self.ok]]
+        regular = np.isfinite(v).all(axis=(1, 2))
+        regular[regular] = ~is_singular(v[regular])
+        self.ok[self.ok] = regular
+        self.maps = np.zeros((n * n, 3, 3))
+        self.maps[self.ok] = np.linalg.inv(table_v.maps[u_star[self.ok]]) @ table_h.maps[u[self.ok]]
+        self.maps.flags.writeable = False
+
+    def __call__(self, x: PointId, y: PointId) -> Mat3:
+        i, j = self._index.get(x), self._index.get(y)
+        if i is not None and j is not None and self.ok[i * self._n + j]:
+            return self.maps[i * self._n + j]
+        u = _unique_arrow(self._dg.side_h, x, y)
+        u_star = _unique_arrow(self._dg.side_v, x, y)
+        return invert(u_star.map) @ u.map
+
+
+def _unique_arrows(table: ArrowStack, n_side: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each pair x * n + y, a side arrow x -> y, and whether it is the only one."""
+    keys = table.source[:n_side] * n + table.target[:n_side]
+    arrow = np.zeros(n * n, dtype=np.intp)
+    arrow[keys] = np.arange(n_side)
+    unique = np.zeros(n * n, dtype=bool)
+    unique[keys] = True
+    count = np.bincount(keys, minlength=n * n)
+    unique[np.flatnonzero(count * (count - 1))] = False  # two arrows or more
+    return arrow, unique
+
+
+def opposite_pair_max_deviation(dg: MaterialDoubleGroupoid) -> float:
+    """Largest entry of |m(W, Y) - m(X, Z)| and |m(W, X) - m(Y, Z)| over the stored squares.
+
+    Squares are taken SQUARE_BLOCK rows at a time. A pair without a
+    misalignment raises its error: the first such pair in the order a
+    loop over the squares asks for them, m(W, Y), m(X, Z), m(W, X),
+    m(Y, Z) square by square. NaN entries are passed over, as Python's
+    max passes them over.
+    """
+    m = dg.misalignments
+    table_h, table_v = dg.stacks
+    n = table_h.n_points
+    deviation = 0.0
+    for start in range(0, len(dg.rows), SQUARE_BLOCK):
+        rows = dg.rows[start:start + SQUARE_BLOCK]
+        w, x = table_v.source[rows[:, 2]], table_v.target[rows[:, 2]]
+        y, z = table_h.target[rows[:, 0]], table_h.target[rows[:, 1]]
+        pairs = np.stack([w * n + y, x * n + z, w * n + x, y * n + z])
+        failing = first_true(~m.ok[pairs].all(axis=0))
+        if failing >= 0:
+            sq = _squares_at(*dg.tables, rows[failing:failing + 1])[0]
+            for a, b in ((sq.W, sq.Y), (sq.X, sq.Z), (sq.W, sq.X), (sq.Y, sq.Z)):
+                m(a, b)
+        maps = [m.maps[p] for p in pairs]
+        deviation = float(np.fmax.reduce(np.concatenate([
+            [deviation],
+            np.abs(maps[0] - maps[1]).max(axis=(1, 2)),
+            np.abs(maps[2] - maps[3]).max(axis=(1, 2)),
+        ])))
+    return deviation
 
 
 def _transformed_arrow(a: Arrow, jac: dict[PointId, Mat3], jac_inv: dict[PointId, Mat3]) -> Arrow:
@@ -469,31 +659,12 @@ def apply_config_change(
             raise SingularJacobianError(f"Jacobian at point {pid!r} is singular")
         jac[pid] = h
     jac_inv = {pid: invert(h) for pid, h in jac.items()}
-
-    def push_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
-        return FiniteGroupoid(
-            g.base,
-            [_transformed_arrow(a, jac, jac_inv) for a in g.arrows],
-            g.tolerance,
-            check=False,
-        )
-
-    def push_square(sq: Square) -> Square:
-        return Square(
-            W=sq.W, X=sq.X, Y=sq.Y, Z=sq.Z,
-            s=_transformed_arrow(sq.s, jac, jac_inv),
-            t=_transformed_arrow(sq.t, jac, jac_inv),
-            s_hat=_transformed_arrow(sq.s_hat, jac, jac_inv),
-            t_hat=_transformed_arrow(sq.t_hat, jac, jac_inv),
-        )
-
-    return MaterialDoubleGroupoid(
-        push_groupoid(dg.side_h),
-        push_groupoid(dg.side_v),
-        [push_square(sq) for sq in dg.squares],
-        dg.tolerance,
-        check=False,
+    tables = tuple([_transformed_arrow(a, jac, jac_inv) for a in table] for table in dg.tables)
+    sides = (
+        FiniteGroupoid(g.base, table[:len(g.arrows)], g.tolerance, check=False)
+        for g, table in zip((dg.side_h, dg.side_v), tables)
     )
+    return MaterialDoubleGroupoid.from_rows(*sides, dg.rows, dg.tolerance, tables)
 
 
 def is_compatible(

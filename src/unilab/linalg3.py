@@ -76,6 +76,11 @@ def singular_tolerance(m):
     return 1e-12 * (scale * scale * scale)
 
 
+def is_singular(m):
+    """invert's singularity test, on one matrix or on a stack of them."""
+    return np.abs(np.linalg.det(m)) <= singular_tolerance(m)
+
+
 def invert(m: Mat3) -> Mat3:
     """Inverse of a 3x3 matrix, guarded by ``singular_tolerance``."""
     m = as_mat3(m)

@@ -211,6 +211,21 @@ class TestValidation:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("upper", [0.1, 0.05], ids=["equal", "reversed"])
+    def test_domain_bounds_must_increase(self, tmp_path, capsys, upper):
+        config = json.loads(GOOD[2].read_text())
+        config["domain"]["lower"][0] = 0.1
+        config["domain"]["upper"][0] = upper
+        path = tmp_path / "flat_box.json"
+        path.write_text(json.dumps(config))
+        expected = f"domain.upper[0]: {upper!r} does not exceed domain.lower[0] = 0.1"
+        assert validate_config(path) == [expected]
+        assert main(["validate", "--config", str(path)]) == 1
+        code, out = run_report(tmp_path, path)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == f"{expected}\n{expected}\n"
+
 
 class TestReports:
     def test_uniform_measure_report(self, tmp_path):

@@ -1,6 +1,7 @@
 """Squares over two side groupoids: products, units, interchange, core,
 misalignment, configuration changes, compatibility, complements."""
 import functools
+import itertools
 import hashlib
 import importlib.util
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scalar_oracles
 from unilab.cli import main
 from unilab.errors import (
     InconsistentCornersError,
@@ -42,6 +44,7 @@ from unilab.double_groupoid import (
     check_square,
     coarse_enumerate,
     commutation_defect,
+    commuting_rows,
     commuting_squares,
     complementary_square,
     core,
@@ -54,6 +57,7 @@ from unilab.double_groupoid import (
     is_uniform,
     misalignment,
     normalizer_criterion,
+    opposite_pair_max_deviation,
     square_from_dict,
     square_to_dict,
     squares_match,
@@ -672,6 +676,176 @@ class TestCommutingSquares:
         for pair in ((empty, empty), (empty, side), (side, empty)):
             assert coarse_enumerate(*pair) == []
             assert commuting_squares(*pair) == (0, [])
+
+
+# ---------------------------------------------------------------------------
+# Core, filling and misalignment on the index rows, against scalar oracles
+# ---------------------------------------------------------------------------
+
+ORDER_TWO_SQUARES = [
+    {"corners": {"W": "A", "X": "B", "Y": "B", "Z": "A"},
+     "s": "hABi", "t": "hBAi", "s_hat": "vABi", "t_hat": "vBAi"},
+    {"corners": {"W": "A", "X": "A", "Y": "A", "Z": "A"},
+     "s": "hAAf", "t": "hAAf", "s_hat": "vAAi", "t_hat": "vAAi"},
+    {"corners": {"W": "B", "X": "A", "Y": "B", "Z": "B"},
+     "s": "hBBi", "t": "hABf", "s_hat": "vBAf", "t_hat": "vBBi"},
+]
+
+
+def grid_products():
+    """Grid squares, their products and unit squares: arrows the sides do not hold."""
+    side_h, side_v = grid_sides()
+    a, b, c = grid_square(1, 0), grid_square(0, 0), grid_square(0, 1)
+    squares = [
+        a, b, hcompose(a, b), vcompose(c, b), a,
+        h_unit(side_v.between("p00", "p00")[0]),
+        v_unit(side_h.between("p00", "p10")[0]),
+        h_unit(unit_arrow("p00")),
+    ]
+    return MaterialDoubleGroupoid(side_h, side_v, squares)
+
+
+def faulty_sides():
+    """Sides that are no groupoids: h lacks C->A and doubles B->C, v lacks A->C and doubles C->A."""
+    base = PointSet.from_pairs([(pid, [float(i), 0.0, 0.0]) for i, pid in enumerate("ABC")])
+
+    def side(prefix, missing, doubled):
+        arrows = [Arrow(f"{prefix}{a}{b}", a, b, np.eye(3))
+                  for a in "ABC" for b in "ABC" if (a, b) != missing]
+        arrows.append(Arrow(f"{prefix}{doubled[0]}{doubled[1]}2", *doubled, rot_z(90)))
+        return FiniteGroupoid(base, arrows, check=False)
+
+    return side("h", ("C", "A"), ("B", "C")), side("v", ("A", "C"), ("C", "A"))
+
+
+def bare_square(k, w, x, y, z):
+    """A square of fresh identity arrows with the given corners."""
+    return Square(
+        W=w, X=x, Y=y, Z=z,
+        s=Arrow(f"s{k}", w, y, np.eye(3)), t=Arrow(f"t{k}", x, z, np.eye(3)),
+        s_hat=Arrow(f"sh{k}", w, x, np.eye(3)), t_hat=Arrow(f"th{k}", y, z, np.eye(3)),
+    )
+
+
+def faulty_instance(corners):
+    side_h, side_v = faulty_sides()
+    squares = [bare_square(k, *c) for k, c in enumerate(corners)]
+    return MaterialDoubleGroupoid(side_h, side_v, squares, check=False)
+
+
+ROW_CASES = [
+    ("squares-sparse", 1),
+    ("squares-sparse", 7),
+    ("squares-uniform", 1),
+    ("squares-uniform", 7),
+    ("order-two", None),
+    ("grid-products", None),
+    ("faulty-v-first", None),
+    ("faulty-h-first", None),
+]
+
+
+@pytest.fixture
+def dg(request, tmp_path_factory):
+    name, seed = request.param
+    if name == "order-two":
+        side_h, side_v = order_two_sides()
+        return MaterialDoubleGroupoid(
+            side_h, side_v, [square_from_dict(sq, side_h, side_v) for sq in ORDER_TWO_SQUARES]
+        )
+    if name == "grid-products":
+        return grid_products()
+    if name == "faulty-v-first":
+        # Square 2 asks for m(A, C) (no vertical arrow) before m(B, C) (two horizontal ones).
+        return faulty_instance([("A", "A", "A", "A"), ("A", "B", "A", "B"), ("A", "C", "B", "C")])
+    if name == "faulty-h-first":
+        # m(C, A) has no horizontal arrow and two vertical ones: side h is asked first.
+        return faulty_instance([("A", "A", "A", "A"), ("C", "C", "A", "A")])
+    side_h, side_v = workload_sides(name, seed, str(tmp_path_factory.mktemp(f"{name}-{seed}")))
+    return MaterialDoubleGroupoid.from_sides(side_h, side_v)
+
+
+def result(fn):
+    """fn()'s value, or the type and text of what it raised."""
+    try:
+        return "value", fn()
+    except UnilabError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_arrows(got, expected):
+    ends = [(a.id, a.source, a.target) for a in got]
+    assert ends == [(a.id, a.source, a.target) for a in expected]
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.map, b.map)
+        assert (a.map2 is None) == (b.map2 is None)
+        assert a.map2 is None or np.array_equal(a.map2, b.map2)
+
+
+class TestRowFacts:
+    @pytest.mark.parametrize("dg", ROW_CASES, indirect=True, ids=case_id)
+    def test_core(self, dg):
+        got, expected = result(lambda: core(dg)), result(lambda: scalar_oracles.core(dg))
+        assert got[0] == expected[0]
+        if got[0] == "value":
+            assert_same_arrows(got[1].arrows, expected[1].arrows)
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("dg", ROW_CASES, indirect=True, ids=case_id)
+    def test_filling(self, dg):
+        got, expected = filling_check(dg), scalar_oracles.filling_check(dg)
+        assert len(got) == len(expected)
+        for (s, s_hat), (s2, s_hat2) in zip(got, expected):
+            assert s is s2 and s_hat is s_hat2
+
+    @pytest.mark.parametrize("dg", ROW_CASES, indirect=True, ids=case_id)
+    def test_opposite_pair_deviation(self, dg):
+        got = result(lambda: opposite_pair_max_deviation(dg))
+        assert got == result(lambda: scalar_oracles.opposite_pair_max_deviation(dg))
+
+    @pytest.mark.parametrize("dg", ROW_CASES, indirect=True, ids=case_id)
+    def test_misalignment_table(self, dg):
+        for x, y in itertools.product(dg.side_h.base.ids, repeat=2):
+            got = result(lambda: misalignment(dg, x, y))
+            expected = result(lambda: scalar_oracles.misalignment(dg, x, y))
+            assert got[0] == expected[0]
+            if got[0] == "value":
+                assert np.array_equal(got[1], expected[1])
+            else:
+                assert got == expected
+
+    def test_faulty_instances_fail_where_the_loop_did(self):
+        errors = {
+            ("A", "C", "B", "C"): (NotTransitiveError, "no arrow 'A' -> 'C'"),
+            ("C", "C", "A", "A"): (NotTransitiveError, "no arrow 'C' -> 'A'"),
+        }
+        for corners, expected in errors.items():
+            dg = faulty_instance([("A", "A", "A", "A"), ("A", "B", "A", "B"), corners])
+            assert result(lambda: opposite_pair_max_deviation(dg)) == expected
+
+    @pytest.mark.parametrize("dg", ROW_CASES[:5], indirect=True, ids=case_id)
+    def test_stored_rows_and_squares(self, dg):
+        assert len(dg.rows) == len(dg.squares)
+        for sq, (i, j, k, m) in zip(dg.squares, dg.rows.tolist()):
+            assert sq.s is dg.tables[0][i] and sq.t is dg.tables[0][j]
+            assert sq.s_hat is dg.tables[1][k] and sq.t_hat is dg.tables[1][m]
+            check_square(sq)
+
+    def test_squares_are_built_when_read(self):
+        side_h, side_v = grid_sides()
+        dg = MaterialDoubleGroupoid.from_sides(side_h, side_v)
+        assert dg._squares is None
+        n_coarse, rows = commuting_rows(side_h, side_v)
+        assert np.array_equal(dg.rows, rows)
+        assert_same_squares(dg.squares, commuting_squares(side_h, side_v)[1])
+
+    def test_products_extend_the_arrow_tables(self):
+        dg = grid_products()
+        side_h, side_v = dg.side_h, dg.side_v
+        assert len(dg.tables[0]) > len(side_h.arrows) and len(dg.tables[1]) > len(side_v.arrows)
+        assert dg.tables[0][:len(side_h.arrows)] == side_h.arrows
+        assert len(core(dg).arrows) == 1  # the two unit squares at p00 give one arrow
 
 
 # sha256 of the squares workload reports at seed 1, as written before the

@@ -1,6 +1,16 @@
 """Finite groupoids over point sets: axioms, construction, persistence."""
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_oracles
 
 from unilab.errors import NotComposableError, UnilabError
 from unilab.fields import AnalyticFrameField
@@ -18,6 +28,7 @@ from unilab.groupoid import (
     is_transitive,
     pair_groupoid,
     unit_arrow,
+    unit_pair_arrow,
     vertex_group,
 )
 
@@ -259,3 +270,192 @@ class TestPersistence:
         }
         with pytest.raises(UnilabError):
             groupoid_from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# The stacked axiom check against the arrow-by-arrow oracle
+# ---------------------------------------------------------------------------
+
+
+def outcome(check):
+    """None if check() passes, else the type and text of what it raised."""
+    try:
+        check()
+    except Exception as exc:  # noqa: BLE001 - the oracle's exception is the expectation
+        return type(exc), str(exc)
+    return None
+
+
+def frame_arrows(ids, frames, frames2=None):
+    """One arrow x -> y per ordered pair with map P(y) P(x)^-1, paired when frames2 is given."""
+    arrows = []
+    for x, y in itertools.product(ids, repeat=2):
+        map2 = None if frames2 is None else frames2[y] @ np.linalg.inv(frames2[x])
+        arrows.append(Arrow(f"{x}->{y}", x, y, frames[y] @ np.linalg.inv(frames[x]), map2))
+    return arrows
+
+
+MUTATIONS = ("none", "perturb", "drop", "drop_inverse", "second_arrow", "mixed")
+
+
+@st.composite
+def arrow_sets(draw):
+    """A frame-built groupoid, single or paired, with at most one fault put in."""
+    n = draw(st.integers(1, 3))
+    ids = [f"p{i}" for i in range(n)]
+    base = PointSet.from_pairs((pid, [float(i), 0.0, 0.0]) for i, pid in enumerate(ids))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def frames():
+        return {pid: np.eye(3) + 0.3 * rng.uniform(-1.0, 1.0, (3, 3)) for pid in ids}
+
+    paired = draw(st.booleans())
+    arrows = frame_arrows(ids, frames(), frames() if paired else None)
+    mutation = draw(st.sampled_from(MUTATIONS))
+    k = draw(st.integers(0, len(arrows) - 1))
+    a = arrows[k]
+    if mutation == "perturb":
+        step = draw(st.sampled_from([1e-12, 5e-10, 1e-9, 2e-9, 1e-6, 0.1]))
+        bumped = a.map.copy()
+        bumped[draw(st.integers(0, 2)), draw(st.integers(0, 2))] += step
+        if a.map2 is not None and draw(st.booleans()):
+            arrows[k] = Arrow(a.id, a.source, a.target, a.map, a.map2 + step)
+        else:
+            arrows[k] = Arrow(a.id, a.source, a.target, bumped, a.map2)
+    elif mutation == "drop":
+        del arrows[k]
+    elif mutation == "drop_inverse":
+        arrows = [b for b in arrows if (b.source, b.target) != (a.target, a.source)]
+    elif mutation == "second_arrow":
+        turn = np.diag([-1.0, -1.0, 1.0]) if draw(st.booleans()) else np.eye(3) + 1e-10
+        extra = [Arrow("extra", a.source, a.target, a.map @ turn,
+                       None if a.map2 is None else a.map2 @ turn)]
+        if draw(st.booleans()):  # with its inverse, so that closure is what fails
+            extra.append(invert_arrow(extra[0]))
+        for b in extra:
+            arrows.insert(draw(st.integers(0, len(arrows))), b)
+    elif mutation == "mixed":
+        if draw(st.booleans()):  # one arrow of the other payload kind
+            map2 = a.map.copy() if a.map2 is None else None
+            arrows[k] = Arrow(a.id, a.source, a.target, a.map, map2)
+        else:  # a unit loop of the other kind
+            other = unit_arrow(a.source) if a.map2 is not None else unit_pair_arrow(a.source)
+            arrows.insert(draw(st.integers(0, len(arrows))), other)
+    tolerance = draw(st.sampled_from([1e-9, 1e-6]))
+    return base, arrows, tolerance
+
+
+class TestStackedValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(arrow_sets())
+    def test_matches_the_oracle(self, case):
+        base, arrows, tolerance = case
+        g = FiniteGroupoid(base, arrows, tolerance, check=False)
+        assert outcome(g.validate) == outcome(lambda: scalar_oracles.validate(g))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+    @pytest.mark.parametrize("mutation,message", [
+        ("dropped unit", "missing unit loop at point 'B'"),
+        ("dropped inverse", "missing inverse of arrow 'A->C'"),
+        ("second arrow", "missing inverse of arrow 'extra'"),
+        ("perturbed", "missing inverse of arrow 'B->C'"),
+        ("mixed payloads", "cannot mix single and paired arrow payloads"),
+        ("singular", "arrow 'C->A' has a singular map"),
+        ("outside", "arrow 'A->Q' references a point outside the base"),
+        ("non-finite", "mat3 has non-finite entries"),
+    ])
+    def test_first_failure(self, mutation, message):
+        ids = POINTS.ids
+        frames = {"A": rot_z(0), "B": rot_z(10), "C": rot_z(30)}
+        arrows = frame_arrows(ids, frames, frames if mutation == "mixed payloads" else None)
+        by_pair = {(a.source, a.target): i for i, a in enumerate(arrows)}
+        if mutation == "dropped unit":
+            del arrows[by_pair["B", "B"]]
+        elif mutation == "dropped inverse":
+            del arrows[by_pair["C", "A"]]
+        elif mutation == "second arrow":
+            arrows.append(Arrow("extra", "A", "B", rot_z(45)))
+        elif mutation == "perturbed":
+            arrows[by_pair["B", "C"]] = Arrow("B->C", "B", "C", rot_z(21))
+        elif mutation == "mixed payloads":
+            arrows.append(Arrow("single", "A", "A", np.eye(3)))
+        elif mutation == "singular":
+            arrows[by_pair["C", "A"]] = Arrow("C->A", "C", "A", np.zeros((3, 3)))
+        elif mutation == "outside":
+            arrows.append(Arrow("A->Q", "A", "Q", np.eye(3)))
+        elif mutation == "non-finite":
+            arrows.append(Arrow("nan", "A", "A", np.full((3, 3), np.nan)))
+        g = FiniteGroupoid(POINTS, arrows, check=False)
+        expected = outcome(lambda: scalar_oracles.validate(g))
+        assert expected is not None and expected[1] == message
+        assert outcome(g.validate) == expected
+
+    def test_paired_groupoid_passes(self):
+        frames = {"A": rot_z(0), "B": rot_z(10), "C": rot_z(30)}
+        g = FiniteGroupoid(POINTS, frame_arrows(POINTS.ids, frames, frames), check=False)
+        assert outcome(g.validate) is None
+        assert g.find(unit_pair_arrow("A")) is g.by_id("A->A")
+
+    def test_mixed_payloads_before_an_escape(self):
+        # (i, i2) mixes payloads before (f, f) escapes; the composite i i2
+        # would match i, so only the payload test catches it.
+        base = PointSet.from_pairs([("A", [0.0, 0.0, 0.0])])
+        arrows = [Arrow("i", "A", "A", np.eye(3)), Arrow("f", "A", "A", rot_z(90)),
+                  Arrow("g", "A", "A", rot_z(270)), unit_pair_arrow("A")]
+        g = FiniteGroupoid(base, arrows, check=False)
+        expected = outcome(lambda: scalar_oracles.validate(g))
+        assert expected == (NotComposableError, "cannot mix single and paired arrow payloads")
+        assert outcome(g.validate) == expected
+
+    def test_payload_kinds_stay_apart_at_a_wide_tolerance(self):
+        # Within 1.2, the paired unit matches the inverse 0.5 I of s on both
+        # payloads (a single arrow's second payload counts as zero), but a
+        # single arrow's inverse must be a single arrow.
+        base = PointSet.from_pairs([("A", [0.0, 0.0, 0.0])])
+        g = FiniteGroupoid(base, [unit_pair_arrow("A"), Arrow("s", "A", "A", 2.0 * np.eye(3))],
+                           tolerance=1.2, check=False)
+        expected = outcome(lambda: scalar_oracles.validate(g))
+        assert expected == (UnilabError, "missing inverse of arrow 's'")
+        assert outcome(g.validate) == expected
+
+    def test_closure_in_blocks(self, monkeypatch):
+        # 5 points and two more arrows give 150 composable pairs; the first
+        # escaping one lies past the first blocks of 1 and of 7 pairs.
+        import unilab.groupoid as groupoid
+
+        base = PointSet.from_pairs((f"q{i}", [float(i), 0.0, 0.0]) for i in range(5))
+        rng = np.random.default_rng(3)
+        frames = {pid: np.eye(3) + 0.3 * rng.uniform(-1, 1, (3, 3)) for pid in base.ids}
+        arrows = frame_arrows(base.ids, frames)
+        a = next(b for b in arrows if (b.source, b.target) == ("q3", "q4"))
+        extra = Arrow("extra", "q3", "q4", a.map @ np.diag([-1.0, -1.0, 1.0]))
+        arrows += [extra, invert_arrow(extra)]
+        g = FiniteGroupoid(base, arrows, check=False)
+        expected = outcome(lambda: scalar_oracles.validate(g))
+        assert expected[1].startswith("composite of 'q3->q0' after")
+        for block in (1, 7, groupoid.PAIR_BLOCK):
+            monkeypatch.setattr(groupoid, "PAIR_BLOCK", block)
+            assert outcome(g.validate) == expected
+
+    def test_missing_unit_names_the_same_point_under_any_hash_seed(self):
+        # Six points whose loops are 2 I: no point has a unit loop.
+        script = (
+            "import numpy as np\n"
+            "from unilab.groupoid import Arrow, FiniteGroupoid, PointSet\n"
+            "base = PointSet.from_pairs((f'p{i}', [float(i), 0.0, 0.0]) for i in range(6))\n"
+            "arrows = [Arrow(f'loop{i}', f'p{i}', f'p{i}', 2.0 * np.eye(3)) for i in range(6)]\n"
+            "try:\n"
+            "    FiniteGroupoid(base, arrows)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        printed = set()
+        for seed in ("0", "1", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+            )
+            printed.add(proc.stdout)
+        assert printed == {"UnilabError missing unit loop at point 'p0'\n"}
