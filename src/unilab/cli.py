@@ -15,17 +15,18 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import sys
 from functools import cached_property
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
 from .errors import (
     ExpressionCompileError,
     ExpressionSyntaxError,
+    SizeLimitError,
     UnilabError,
     UnknownIdentifierError,
     raise_first,
@@ -197,6 +198,9 @@ CONFIG_SCHEMA = {
 
 _TASKS_NEEDING_DOMAIN = {"measure", "foliate", "infinitesimal"}
 _TASKS_NEEDING_POINTS = {"squares", "misalign"}
+# The largest lattice the lattice tasks build. A larger `resolution` validates,
+# but each lattice task then reports a SizeLimitError before allocating.
+MAX_LATTICE_NODES = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +208,91 @@ _TASKS_NEEDING_POINTS = {"squares", "misalign"}
 # ---------------------------------------------------------------------------
 
 
-def _expression_diagnostics(path: str, text: str) -> list[str]:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPE_TESTS = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "number": _is_number,
+    "integer": lambda value: _is_number(value) and (isinstance(value, int) or value.is_integer()),
+}
+
+
+def _same(a, b) -> bool:
+    """JSON equality of scalars: unlike Python's, true is not 1 and false is not 0."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _conforms(value, schema: dict) -> bool:
+    """Whether `value` is valid under `schema`, for the draft-7 keywords CONFIG_SCHEMA uses.
+
+    It follows jsonschema's Draft7Validator: a bool is neither a number nor an
+    integer, an integral float is an integer, `const` and `enum` tell true from
+    1, and NaN passes `minimum` and `exclusiveMinimum`. Validation reads only
+    the answer; jsonschema explains a config that does not conform.
+    """
+    if "type" in schema and not _TYPE_TESTS[schema["type"]](value):
+        return False
+    if "const" in schema and not _same(value, schema["const"]):
+        return False
+    if "enum" in schema and not any(_same(value, option) for option in schema["enum"]):
+        return False
+    if "oneOf" in schema and sum(_conforms(value, sub) for sub in schema["oneOf"]) != 1:
+        return False
+    if _is_number(value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return False
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return False
+    if isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            return False
+        if "items" in schema and not all(_conforms(item, schema["items"]) for item in value):
+            return False
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        if not all(key in value for key in schema.get("required", ())):
+            return False
+        closed = schema.get("additionalProperties", True) is False
+        if closed and not value.keys() <= properties.keys():
+            return False
+        if not all(_conforms(value[key], sub) for key, sub in properties.items() if key in value):
+            return False
+    return True
+
+
+def _schema_diagnostics(config) -> list[str]:
+    """CONFIG_SCHEMA's violations as sorted `location: message` lines."""
+    if _conforms(config, CONFIG_SCHEMA):
+        return []
+    # jsonschema is imported only to explain a config that does not conform:
+    # its messages are the diagnostics.
+    import jsonschema
+
+    validator = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+    schema_errors = sorted(
+        validator.iter_errors(config),
+        key=lambda e: (list(map(str, e.absolute_path)), e.message),
+    )
+    return [
+        f"{'.'.join(str(part) for part in err.absolute_path) or 'config'}: {err.message}"
+        for err in schema_errors
+    ]
+
+
+def _expression_diagnostics(path: str, text: str, derivatives: bool) -> list[str]:
     # The lattice tasks compile the first derivatives too, and a derivative
-    # nests deeper than its expression.
+    # nests deeper than its expression. The square tasks never use them.
     try:
         e = parse_expr(text)
         compile_expr(e)
     except (ExpressionSyntaxError, ExpressionCompileError, UnknownIdentifierError) as exc:
         return [f"{path}: {exc}"]
+    if not derivatives:
+        return []
     for k in (1, 2, 3):
         try:
             compile_expr(diff(e, k))
@@ -220,7 +301,9 @@ def _expression_diagnostics(path: str, text: str) -> list[str]:
     return []
 
 
-def _frame_diagnostics(path: str, node, config_dir: Path, grids: dict) -> list[str]:
+def _frame_diagnostics(
+    path: str, node, config_dir: Path, grids: dict, derivatives: bool
+) -> list[str]:
     out: list[str] = []
     if isinstance(node, dict):
         grid = config_dir / node["grid"]
@@ -234,7 +317,7 @@ def _frame_diagnostics(path: str, node, config_dir: Path, grids: dict) -> list[s
         return out
     for i, row in enumerate(node):
         for j, cell in enumerate(row):
-            out.extend(_expression_diagnostics(f"{path}[{i}][{j}]", cell))
+            out.extend(_expression_diagnostics(f"{path}[{i}][{j}]", cell, derivatives))
     return out
 
 
@@ -256,27 +339,22 @@ def _check_config(config_path) -> tuple[list[str], dict[str, SampledFrameField]]
     except json.JSONDecodeError as exc:
         return [f"config: invalid JSON: {exc}"], grids
 
-    validator = jsonschema.Draft7Validator(CONFIG_SCHEMA)
-    schema_errors = sorted(
-        validator.iter_errors(config),
-        key=lambda e: (list(map(str, e.absolute_path)), e.message),
-    )
-    if schema_errors:
-        out = []
-        for err in schema_errors:
-            location = ".".join(str(part) for part in err.absolute_path) or "config"
-            out.append(f"{location}: {err.message}")
+    out = _schema_diagnostics(config)
+    if out:
         return out, grids
 
-    out: list[str] = []
+    tasks = set(config["tasks"])
+    derivatives = bool(tasks & _TASKS_NEEDING_DOMAIN)
     config_dir = config_path.parent
     composite = config["composite"]
     for key in ("component1", "component2"):
-        out.extend(_frame_diagnostics(f"composite.{key}", composite[key], config_dir, grids))
+        out.extend(
+            _frame_diagnostics(f"composite.{key}", composite[key], config_dir, grids, derivatives)
+        )
     for key in ("director", "director1", "director2"):
         if key in composite:
             for i, cell in enumerate(composite[key]):
-                out.extend(_expression_diagnostics(f"composite.{key}[{i}]", cell))
+                out.extend(_expression_diagnostics(f"composite.{key}[{i}]", cell, derivatives))
 
     case = composite["case"]
     if case == "discrete-transiso" and "director" not in composite:
@@ -294,7 +372,6 @@ def _check_config(config_path) -> tuple[list[str], dict[str, SampledFrameField]]
                     f"domain.upper[{k}]: {upper!r} does not exceed domain.lower[{k}] = {lower!r}"
                 )
 
-    tasks = set(config["tasks"])
     if tasks & _TASKS_NEEDING_DOMAIN and "domain" not in config:
         out.append(
             "tasks: "
@@ -395,6 +472,11 @@ class _Context:
 
     @cached_property
     def lattice(self) -> np.ndarray:
+        n_nodes = math.prod(self.domain.resolution)
+        if n_nodes > MAX_LATTICE_NODES:
+            raise SizeLimitError(
+                f"a lattice of {n_nodes} nodes exceeds the cap of {MAX_LATTICE_NODES} nodes"
+            )
         return self.domain.lattice()
 
     @cached_property

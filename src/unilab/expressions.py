@@ -276,6 +276,12 @@ def parse(text: str) -> ScalarExpr:
 
 
 def _eval(e: ScalarExpr, x1: float, x2: float, x3: float) -> float:
+    """Walk the tree with the `math` module.
+
+    The library evaluates through `compile_expr`; this walker is kept,
+    behind `evaluate`, as the independent oracle the compiled path is
+    tested against.
+    """
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Const):

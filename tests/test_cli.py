@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from unilab import cli
 from unilab.cli import canonical_json, main, validate_config
 from unilab.double_groupoid import (
     MaterialDoubleGroupoid,
@@ -131,6 +132,36 @@ class TestValidation:
         assert code == 1
         assert not out.exists()
         assert capsys.readouterr().out.startswith(f"composite.component2[0][1]: {message}")
+
+    def test_square_tasks_skip_derivatives(self, tmp_path, capsys):
+        # The square tasks evaluate the frames but never their derivatives.
+        config = json.loads(GOOD[1].read_text())
+        config["composite"]["component2"][0][1] = "^".join(["x1"] * tallest_tower())
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(config))
+        assert validate_config(path) == []
+        code, out = run_report(tmp_path, path)
+        assert code in (0, 2)
+        assert set(json.loads(out.read_text())["tasks"]) == {"squares", "misalign"}
+        assert capsys.readouterr().out == ""
+
+    def test_huge_lattice_is_refused_before_allocation(self, tmp_path):
+        config = json.loads(GOOD[2].read_text())
+        config["domain"]["resolution"] = [100000, 100000, 100000]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config))
+        assert validate_config(path) == []
+        code, out = run_report(tmp_path, path)
+        assert code == 2
+        error = "a lattice of 1000000000000000 nodes exceeds the cap of 100000 nodes"
+        assert json.loads(out.read_text())["tasks"] == {
+            "foliate": {"error": error}, "infinitesimal": {"error": error}
+        }
+
+    @pytest.mark.parametrize("max_nodes, code", [(7 ** 3, 0), (7 ** 3 - 1, 2)])
+    def test_max_nodes(self, tmp_path, monkeypatch, max_nodes, code):
+        monkeypatch.setattr(cli, "MAX_LATTICE_NODES", max_nodes)
+        assert run_report(tmp_path, GOOD[2])[0] == code
 
     @pytest.mark.parametrize(
         "expression",
