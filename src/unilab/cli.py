@@ -52,7 +52,7 @@ from .double_groupoid import (
     square_from_dict,
     unfillable_indices,
 )
-from .groupoid import FiniteGroupoid, PointSet, from_frame_field, groupoid_from_dict, is_transitive
+from .groupoid import Arrow, FiniteGroupoid, PointSet, from_frame_field, is_transitive
 from .infinitesimal import KINDS, classify_stack
 from .linalg3 import max_abs
 from .measures import CompositeSpec, MeasureResult, SymmetryCase, evaluate_measure_stack
@@ -122,7 +122,7 @@ CONFIG_SCHEMA = {
         "tolerances": {
             "type": "object",
             "properties": {
-                "rank_rel_tol": {"type": "number", "exclusiveMinimum": 0},
+                "rank_rel_tol": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "commutation_tol": {"type": "number", "exclusiveMinimum": 0},
                 "group_tol": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -231,8 +231,8 @@ def _conforms(value, schema: dict) -> bool:
 
     It follows jsonschema's Draft7Validator: a bool is neither a number nor an
     integer, an integral float is an integer, `const` and `enum` tell true from
-    1, and NaN passes `minimum` and `exclusiveMinimum`. Validation reads only
-    the answer; jsonschema explains a config that does not conform.
+    1, and NaN passes every bound. Validation reads only the answer;
+    jsonschema explains a config that does not conform.
     """
     if "type" in schema and not _TYPE_TESTS[schema["type"]](value):
         return False
@@ -246,6 +246,8 @@ def _conforms(value, schema: dict) -> bool:
         if "minimum" in schema and value < schema["minimum"]:
             return False
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return False
+        if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
             return False
     if isinstance(value, list):
         if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
@@ -284,8 +286,11 @@ def _schema_diagnostics(config) -> list[str]:
 
 
 def _expression_diagnostics(path: str, text: str, derivatives: bool) -> list[str]:
-    # The lattice tasks compile the first derivatives too, and a derivative
-    # nests deeper than its expression. The square tasks never use them.
+    """One cell's diagnostic: the cell compiled on its own, and its first derivatives if asked.
+
+    It names the failing cells of a field that does not build. A derivative
+    nests deeper than its expression.
+    """
     try:
         e = parse_expr(text)
         compile_expr(e)
@@ -301,24 +306,63 @@ def _expression_diagnostics(path: str, text: str, derivatives: bool) -> list[str
     return []
 
 
-def _frame_diagnostics(
-    path: str, node, config_dir: Path, grids: dict, derivatives: bool
-) -> list[str]:
-    out: list[str] = []
-    if isinstance(node, dict):
-        grid = config_dir / node["grid"]
-        if not grid.is_file():
-            out.append(f"{path}.grid: grid file {node['grid']!r} not found")
-            return out
+def _cells(path: str, node):
+    """(path, text) of every expression in a frame's rows or a director."""
+    if isinstance(node, str):
+        yield path, node
+    else:
+        for i, child in enumerate(node):
+            yield from _cells(f"{path}[{i}]", child)
+
+
+def _analytic_field(path: str, node, derivatives: bool):
+    """(field, diagnostics) for a frame's rows or a director.
+
+    The field's value stack is compiled now, and its derivative stack too
+    when the lattice tasks will evaluate it, so that `run` compiles nothing.
+    """
+    try:
+        field_type = AnalyticVectorField if isinstance(node[0], str) else AnalyticFrameField
+        field = field_type.from_strings(node)
+        field._values._array_fn
+        if derivatives:
+            field._derivs._array_fn
+        return field, []
+    except (ExpressionSyntaxError, ExpressionCompileError, UnknownIdentifierError) as exc:
+        # Name the failing cells; a stack whose every cell compiles on its
+        # own is reported at the component.
+        out = [line for at, text in _cells(path, node)
+               for line in _expression_diagnostics(at, text, derivatives)]
+        return None, out or [f"{path}: {exc}"]
+
+
+def _grid_field(path: str, node: dict, config_dir: Path):
+    """(field, diagnostics) for a component read from an .npz grid."""
+    grid = config_dir / node["grid"]
+    if not grid.is_file():
+        return None, [f"{path}.grid: grid file {node['grid']!r} not found"]
+    try:
+        return SampledFrameField.from_npz(grid), []
+    except UnilabError as exc:
+        return None, [f"{path}.grid: grid file {node['grid']!r}: {exc}"]
+
+
+def _float_diagnostics(value, schema: dict, path: str = "") -> list[str]:
+    """The numbers the run reads as floats that no float holds: JSON integers past 1.8e308."""
+    if schema.get("type") == "number":
         try:
-            grids[path] = SampledFrameField.from_npz(grid)
-        except UnilabError as exc:
-            out.append(f"{path}.grid: grid file {node['grid']!r}: {exc}")
-        return out
-    for i, row in enumerate(node):
-        for j, cell in enumerate(row):
-            out.extend(_expression_diagnostics(f"{path}[{i}][{j}]", cell, derivatives))
-    return out
+            float(value)
+        except OverflowError:
+            return [f"{path}: integer too large to convert to float"]
+        return []
+    if isinstance(value, list) and "items" in schema:
+        parts = [(f"{path}[{i}]", item, schema["items"]) for i, item in enumerate(value)]
+    elif isinstance(value, dict):
+        parts = [(f"{path}.{key}" if path else key, value[key], sub)
+                 for key, sub in schema.get("properties", {}).items() if key in value]
+    else:
+        return []
+    return [line for at, item, sub in parts for line in _float_diagnostics(item, sub, at)]
 
 
 def validate_config(config_path) -> list[str]:
@@ -326,35 +370,41 @@ def validate_config(config_path) -> list[str]:
     return _check_config(config_path)[0]
 
 
-def _check_config(config_path) -> tuple[list[str], dict[str, SampledFrameField]]:
-    """validate_config's diagnostics, and the grid fields it loaded by component path."""
+def _check_config(config_path) -> tuple[list[str], _Context | None]:
+    """validate_config's diagnostics, and the context that runs a config without any.
+
+    This is the one pass over the config: it reads and parses it once,
+    builds its fields and compiles the expression stacks the run evaluates.
+    """
     config_path = Path(config_path)
-    grids: dict[str, SampledFrameField] = {}
     try:
         raw = config_path.read_bytes()
     except OSError as exc:
-        return [f"config: cannot read {config_path}: {exc}"], grids
+        return [f"config: cannot read {config_path}: {exc}"], None
     try:
         config = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        return [f"config: invalid JSON: {exc}"], grids
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge integers, deep nesting
+        return [f"config: invalid JSON: {exc}"], None
 
     out = _schema_diagnostics(config)
     if out:
-        return out, grids
+        return out, None
+    out = _float_diagnostics(config, CONFIG_SCHEMA)
 
     tasks = set(config["tasks"])
     derivatives = bool(tasks & _TASKS_NEEDING_DOMAIN)
-    config_dir = config_path.parent
     composite = config["composite"]
-    for key in ("component1", "component2"):
-        out.extend(
-            _frame_diagnostics(f"composite.{key}", composite[key], config_dir, grids, derivatives)
-        )
-    for key in ("director", "director1", "director2"):
+    fields = {}
+    for key in ("component1", "component2", "director", "director1", "director2"):
         if key in composite:
-            for i, cell in enumerate(composite[key]):
-                out.extend(_expression_diagnostics(f"composite.{key}[{i}]", cell, derivatives))
+            path = f"composite.{key}"
+            node = composite[key]
+            if isinstance(node, dict):
+                field, lines = _grid_field(path, node, config_path.parent)
+            else:
+                field, lines = _analytic_field(path, node, derivatives)
+            fields[path] = field
+            out.extend(lines)
 
     case = composite["case"]
     if case == "discrete-transiso" and "director" not in composite:
@@ -425,7 +475,7 @@ def _check_config(config_path) -> tuple[list[str], dict[str, SampledFrameField]]
                            ("s_hat", "vertical"), ("t_hat", "vertical")):
             if sq[slot] not in arrow_ids[side]:
                 out.append(f"squares[{i}].{slot}: unknown {side} arrow id {sq[slot]!r}")
-    return out, grids
+    return out, None if out else _Context(raw, config, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +484,10 @@ def _check_config(config_path) -> tuple[list[str], dict[str, SampledFrameField]]
 
 
 class _Context:
-    def __init__(self, config: dict, grids: dict[str, SampledFrameField]):
+    def __init__(self, raw: bytes, config: dict, fields: dict):
+        self.raw = raw  # the config bytes, hashed into the provenance block
         self.config = config
-        self.grids = grids  # validation's grid fields, by component path
+        self.fields = fields  # validation's fields, by config path
         tolerances = config.get("tolerances", {})
         self.rank_rel_tol = float(tolerances.get("rank_rel_tol", 1e-8))
         self.commutation_tol = float(tolerances.get("commutation_tol", 1e-9))
@@ -444,25 +495,12 @@ class _Context:
         self.max_squares = int(config.get("max_squares", 200_000))
         self.foliation_report = None
 
-    def _frame(self, key: str):
-        node = self.config["composite"][key]
-        if isinstance(node, dict):
-            return self.grids[f"composite.{key}"]
-        return AnalyticFrameField.from_strings(node)
-
     @cached_property
     def composite(self) -> CompositeSpec:
         comp = self.config["composite"]
-        directors = {
-            key: AnalyticVectorField.from_strings(comp[key])
-            for key in ("director", "director1", "director2")
-            if key in comp
-        }
         return CompositeSpec(
-            self._frame("component1"),
-            self._frame("component2"),
-            SymmetryCase.from_string(comp["case"]),
-            **directors,
+            symmetry_case=SymmetryCase.from_string(comp["case"]),
+            **{key: self.fields[f"composite.{key}"] for key in comp if key != "case"},
         )
 
     @cached_property
@@ -491,19 +529,12 @@ class _Context:
     @cached_property
     def sides(self) -> tuple[FiniteGroupoid, FiniteGroupoid]:
         if "groupoids" in self.config:
-            gds = self.config["groupoids"]
-            points = [
-                {"id": pid, "coords": list(self.points.coords(pid))} for pid in self.points.ids
+            arrows = [
+                [Arrow(a["id"], a["source"], a["target"], np.asarray(a["map"], float).reshape(3, 3))
+                 for a in self.config["groupoids"][side]["arrows"]]
+                for side in ("horizontal", "vertical")
             ]
-            side_h = groupoid_from_dict(
-                {"points": points, "arrows": gds["horizontal"]["arrows"],
-                 "tolerance": self.group_tol}
-            )
-            side_v = groupoid_from_dict(
-                {"points": points, "arrows": gds["vertical"]["arrows"],
-                 "tolerance": self.group_tol}
-            )
-            return side_h, side_v
+            return tuple(FiniteGroupoid(self.points, side, self.group_tol) for side in arrows)
         side_h = from_frame_field(self.composite.component1, self.points, self.group_tol)
         side_v = from_frame_field(self.composite.component2, self.points, self.group_tol)
         return side_h, side_v
@@ -705,17 +736,13 @@ def _emit(value, out: list[str]) -> None:
 
 def run(config_path, out_path, out_format: str = "json") -> int:
     """Execute the configured tasks and write the report. Returns the exit code."""
-    diagnostics, grids = _check_config(config_path)
+    diagnostics, ctx = _check_config(config_path)
     if diagnostics:
-        for line in diagnostics:
-            print(line)
+        print("\n".join(diagnostics))
         return 1
-    config_bytes = Path(config_path).read_bytes()
-    config = json.loads(config_bytes)
-    ctx = _Context(config, grids)
     task_blocks: dict[str, dict] = {}
     failed = False
-    for task in config["tasks"]:
+    for task in ctx.config["tasks"]:
         try:
             task_blocks[task] = _TASK_RUNNERS[task](ctx)
         except UnilabError as exc:
@@ -730,7 +757,7 @@ def run(config_path, out_path, out_format: str = "json") -> int:
         report = {
             "schema": 1,
             "provenance": {
-                "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
+                "config_sha256": hashlib.sha256(ctx.raw).hexdigest(),
                 "tool": "unilab",
                 "version": __version__,
             },
@@ -744,12 +771,8 @@ def run(config_path, out_path, out_format: str = "json") -> int:
 
 def validate(config_path) -> int:
     diagnostics = validate_config(config_path)
-    for line in diagnostics:
-        print(line)
-    if diagnostics:
-        return 1
-    print("ok")
-    return 0
+    print("\n".join(diagnostics or ["ok"]))
+    return 1 if diagnostics else 0
 
 
 def main(argv=None) -> int:

@@ -335,17 +335,6 @@ def commuting_rows(
     return total, np.concatenate(kept) if kept else np.empty((0, 4), dtype=np.intp)
 
 
-def commuting_squares(
-    side_h: FiniteGroupoid,
-    side_v: FiniteGroupoid,
-    tolerance: float = DEFAULT_COMMUTATION_TOL,
-    max_squares: int = DEFAULT_SQUARE_CAP,
-) -> tuple[int, list[Square]]:
-    """The number of coarse squares, and the commuting ones in coarse order."""
-    total, rows = commuting_rows(side_h, side_v, tolerance, max_squares)
-    return total, _squares_at(side_h.arrows, side_v.arrows, rows)
-
-
 class MaterialDoubleGroupoid:
     """Two side groupoids on one base plus a set of commuting squares.
 

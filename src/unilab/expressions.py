@@ -1,4 +1,4 @@
-"""Scalar expressions in body coordinates: parse, evaluate, differentiate.
+"""Scalar expressions in body coordinates: parse, differentiate, compile.
 
 Grammar, with standard precedence (^ is right-associative and binds
 tighter than unary minus):
@@ -271,57 +271,6 @@ def parse(text: str) -> ScalarExpr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-
-def _eval(e: ScalarExpr, x1: float, x2: float, x3: float) -> float:
-    """Walk the tree with the `math` module.
-
-    The library evaluates through `compile_expr`; this walker is kept,
-    behind `evaluate`, as the independent oracle the compiled path is
-    tested against.
-    """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Var):
-        return (x1, x2, x3)[e.axis - 1]
-    if isinstance(e, Neg):
-        return -_eval(e.arg, x1, x2, x3)
-    if isinstance(e, Add):
-        return _eval(e.lhs, x1, x2, x3) + _eval(e.rhs, x1, x2, x3)
-    if isinstance(e, Sub):
-        return _eval(e.lhs, x1, x2, x3) - _eval(e.rhs, x1, x2, x3)
-    if isinstance(e, Mul):
-        return _eval(e.lhs, x1, x2, x3) * _eval(e.rhs, x1, x2, x3)
-    if isinstance(e, Div):
-        return _eval(e.lhs, x1, x2, x3) / _eval(e.rhs, x1, x2, x3)
-    if isinstance(e, Pow):
-        # math.pow rejects negative bases with fractional exponents instead
-        # of drifting into complex values like the ** operator would.
-        return math.pow(_eval(e.base, x1, x2, x3), _eval(e.exponent, x1, x2, x3))
-    if isinstance(e, Call):
-        return FUNCTIONS[e.fn](_eval(e.arg, x1, x2, x3))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def evaluate(e: ScalarExpr, point) -> float:
-    """Evaluate at point (x1, x2, x3); the result must be finite."""
-    x1, x2, x3 = (float(point[0]), float(point[1]), float(point[2]))
-    try:
-        value = _eval(e, x1, x2, x3)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise EvaluationDomainError(str(exc)) from None
-    except OverflowError as exc:
-        raise NonFiniteError(str(exc)) from None
-    if not math.isfinite(value):
-        raise NonFiniteError(f"expression evaluated to {value!r}")
-    return value
-
-
-# ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------
 
@@ -512,7 +461,7 @@ def compile_expr(e: ScalarExpr) -> Callable[[float, float, float], float]:
 
 
 def call_compiled(fn, point) -> float:
-    """Invoke a compiled expression with the same error mapping as evaluate."""
+    """Invoke a compiled expression at one point; domain faults and non-finite results raise."""
     try:
         value = fn(float(point[0]), float(point[1]), float(point[2]))
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,13 +1,15 @@
 """Config validation, report generation, determinism, and exit codes."""
 import hashlib
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unilab import cli
+from unilab import cli, expressions
 from unilab.cli import canonical_json, main, validate_config
 from unilab.double_groupoid import (
     MaterialDoubleGroupoid,
@@ -22,11 +24,12 @@ from unilab.double_groupoid import (
     square_from_dict,
 )
 from unilab.errors import ConfigError, ExpressionCompileError, NotTriclinicError
-from unilab.expressions import compile_expr, parse
+from unilab.expressions import ExpressionStack, compile_expr, parse
 from unilab.fields import AnalyticFrameField, SampledFrameField
 from unilab.groupoid import PointSet, from_frame_field, groupoid_from_dict, is_transitive
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 GOOD = [
     CONFIG_DIR / "uniform_measure.json",
@@ -145,6 +148,55 @@ class TestValidation:
         assert set(json.loads(out.read_text())["tasks"]) == {"squares", "misalign"}
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "base, keys, expected",
+        [
+            (1, ["points", 0, "coords", 1],
+             "points[0].coords[1]: integer too large to convert to float"),
+            (2, ["domain", "upper", 0], "domain.upper[0]: integer too large to convert to float"),
+            (2, ["tolerances", "rank_rel_tol"],
+             f"tolerances.rank_rel_tol: {10 ** 400} is greater than or equal to the maximum of 1"),
+            (1, ["tolerances", "group_tol"],
+             "tolerances.group_tol: integer too large to convert to float"),
+        ],
+        ids=["point-coordinate", "domain-upper", "rank_rel_tol", "group_tol"],
+    )
+    def test_integer_beyond_float_range_is_located(self, tmp_path, capsys, base, keys, expected):
+        config = json.loads(GOOD[base].read_text())
+        node = config
+        for key in keys[:-1]:
+            node = node[key] if isinstance(node, list) else node.setdefault(key, {})
+        node[keys[-1]] = 10 ** 400
+        path = tmp_path / "huge_number.json"
+        path.write_text(json.dumps(config))
+        assert validate_config(path) == [expected]
+        code, out = run_report(tmp_path, path)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == f"{expected}\n"
+
+    @pytest.mark.parametrize("value, code", [(1.0, 1), (1e308, 1), (0.999, 0)])
+    def test_rank_rel_tol_below_one(self, tmp_path, capsys, value, code):
+        config = json.loads(GOOD[2].read_text())
+        config["tolerances"] = {"rank_rel_tol": value}
+        path = tmp_path / "rank_rel_tol.json"
+        path.write_text(json.dumps(config))
+        assert run_report(tmp_path, path)[0] == code
+        out = capsys.readouterr()
+        if code == 1:
+            assert out.out == f"tolerances.rank_rel_tol: {value!r} is greater than or equal to " \
+                              "the maximum of 1\n"
+        assert out.err == ""
+
+    @pytest.mark.parametrize("raw", [b"\xff{}", b"[" * 100_000, b"1" * 5000],
+                             ids=["not-utf-8", "nested-too-deep", "long-integer"])
+    def test_undecodable_json(self, tmp_path, raw):
+        bad = tmp_path / "undecodable.json"
+        bad.write_bytes(raw)
+        diagnostics = validate_config(bad)
+        assert len(diagnostics) == 1
+        assert diagnostics[0].startswith("config: invalid JSON")
+
     def test_huge_lattice_is_refused_before_allocation(self, tmp_path):
         config = json.loads(GOOD[2].read_text())
         config["domain"]["resolution"] = [100000, 100000, 100000]
@@ -256,6 +308,54 @@ class TestValidation:
         assert code == 1
         assert not out.exists()
         assert capsys.readouterr().out == f"{expected}\n{expected}\n"
+
+
+class TestOnePass:
+    """`run` reads, parses and compiles the config once, in validation."""
+
+    def test_config_piped_through_stdin(self, tmp_path):
+        raw = GOOD[1].read_bytes()
+        piped = tmp_path / "piped.json"
+        command = ["run", "--config", "/dev/stdin", "--out", str(piped)]
+        subprocess.run(
+            [sys.executable, "-m", "unilab.cli", *command],
+            input=raw, check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        code, out = run_report(tmp_path, GOOD[1])
+        assert code == 0
+        assert piped.read_bytes() == out.read_bytes()
+        provenance = json.loads(piped.read_text())["provenance"]
+        assert provenance["config_sha256"] == hashlib.sha256(raw).hexdigest()
+
+    @pytest.mark.parametrize("config, compiles", [(GOOD[1], 2), (GOOD[2], 4)],
+                             ids=["squares", "lattice"])
+    def test_run_compiles_only_the_stacks_it_evaluates(self, tmp_path, monkeypatch, config,
+                                                       compiles):
+        # A squares run evaluates each frame's values, a lattice run its
+        # derivatives too: one stack each.
+        calls = []
+        compile_ = expressions._compile
+
+        def counting(*args):
+            calls.append(args[1])
+            return compile_(*args)
+
+        monkeypatch.setattr(expressions, "_compile", counting)
+        assert run_report(tmp_path, config)[0] == 0
+        assert calls == ["<expr-stack>"] * compiles
+
+    def test_stack_failure_with_compiling_cells_is_located(self, tmp_path, monkeypatch, capsys):
+        def fail(stack):
+            raise ExpressionCompileError("cannot compile expression: injected")
+
+        monkeypatch.setattr(ExpressionStack, "_array_fn", property(fail))
+        code, out = run_report(tmp_path, GOOD[1])
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == (
+            "composite.component1: cannot compile expression: injected\n"
+            "composite.component2: cannot compile expression: injected\n"
+        )
 
 
 class TestReports:

@@ -205,11 +205,22 @@ class TestAgreement:
         assert _conforms(config, CONFIG_SCHEMA) == valid
         agree(config)
 
-    @pytest.mark.parametrize("keyword", ["minimum", "exclusiveMinimum"])
+    @pytest.mark.parametrize(
+        "value, valid",
+        [(1, False), (1.0, False), (0.999, True), (1e308, False), (float("nan"), True)],
+        ids=["1", "1.0", "0.999", "1e308", "nan"],
+    )
+    def test_rank_rel_tol(self, value, valid):
+        config = full_config()
+        config["tolerances"]["rank_rel_tol"] = value
+        assert _conforms(config, CONFIG_SCHEMA) == valid
+        agree(config)
+
+    @pytest.mark.parametrize("keyword", ["minimum", "exclusiveMinimum", "exclusiveMaximum"])
     @pytest.mark.parametrize("value", [float("nan"), -float("inf"), 1, 1.5, 2, True, "1"])
     def test_bound_keywords_alone(self, keyword, value):
         # In CONFIG_SCHEMA `minimum` only sits next to "integer", which NaN
-        # already fails; on its own, NaN passes both bounds.
+        # already fails; on its own, NaN passes every bound.
         schema = {keyword: 1.5}
         assert _conforms(value, schema) == Draft7Validator(schema).is_valid(value)
 

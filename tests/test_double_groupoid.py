@@ -40,12 +40,12 @@ from unilab.double_groupoid import (
     DEFAULT_SQUARE_CAP,
     MaterialDoubleGroupoid,
     Square,
+    _squares_at,
     apply_config_change,
     check_square,
     coarse_enumerate,
     commutation_defect,
     commuting_rows,
-    commuting_squares,
     complementary_square,
     core,
     filling_check,
@@ -585,6 +585,13 @@ SIDE_CASES = [
     ("order-two", None),
     ("irregular", None),
 ]
+
+
+def commuting_squares(side_h, side_v, tolerance=DEFAULT_COMMUTATION_TOL,
+                      max_squares=DEFAULT_SQUARE_CAP):
+    """The number of coarse squares, and commuting_rows' squares as objects in coarse order."""
+    total, rows = commuting_rows(side_h, side_v, tolerance, max_squares)
+    return total, _squares_at(side_h.arrows, side_v.arrows, rows)
 
 
 def case_id(case):

@@ -1,11 +1,12 @@
-"""Parser, evaluator, symbolic derivative, and compiled form of scalar expressions.
+"""Parser, symbolic derivative, and compiled form of scalar expressions.
 
 The derivative is checked against central finite differences, and the
-evaluator against a second tree walk written here from the node
-definitions alone.
+compiled form, one point at a time and as a numpy pass over a stack of
+points, against a tree walk written here from the node definitions alone.
 """
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from unilab.errors import (
 from unilab.expressions import (
     Add,
     Call,
+    ExpressionStack,
     Mul,
     Num,
     Var,
@@ -27,7 +29,6 @@ from unilab.expressions import (
     call_compiled,
     compile_expr,
     diff,
-    evaluate,
     parse,
     to_python_source,
 )
@@ -36,7 +37,7 @@ FD_STEP = 1e-5
 
 
 def eval_oracle(node, x):
-    """Shadow evaluator used only by the tests."""
+    """Shadow evaluator: the tree walked with the math module, used only by the tests."""
     name = type(node).__name__
     if name == "Num":
         return node.value
@@ -61,13 +62,18 @@ def eval_oracle(node, x):
     raise AssertionError(name)
 
 
+def value_at(e, point):
+    """The library's value at one point: the compiled expression, through call_compiled."""
+    return call_compiled(compile_expr(e), point)
+
+
 def fd_derivative(text, point, axis):
     e = parse(text)
     lo = list(point)
     hi = list(point)
     lo[axis - 1] -= FD_STEP
     hi[axis - 1] += FD_STEP
-    return (evaluate(e, hi) - evaluate(e, lo)) / (2.0 * FD_STEP)
+    return (eval_oracle(e, hi) - eval_oracle(e, lo)) / (2.0 * FD_STEP)
 
 
 class TestParsing:
@@ -108,16 +114,16 @@ class TestParsing:
 
     def test_power_right_associative(self):
         # 2^3^2 = 2^(3^2) = 512
-        assert evaluate(parse("2^3^2"), (0, 0, 0)) == 512.0
+        assert eval_oracle(parse("2^3^2"), (0, 0, 0)) == 512.0
 
     def test_power_binds_tighter_than_unary_minus(self):
-        assert evaluate(parse("-2^2"), (0, 0, 0)) == -4.0
+        assert eval_oracle(parse("-2^2"), (0, 0, 0)) == -4.0
 
     def test_precedence(self):
-        assert evaluate(parse("2 + 3 * 4 ^ 2"), (0, 0, 0)) == 50.0
+        assert eval_oracle(parse("2 + 3 * 4 ^ 2"), (0, 0, 0)) == 50.0
 
     def test_parentheses(self):
-        assert evaluate(parse("(2 + 3) * 4"), (0, 0, 0)) == 20.0
+        assert eval_oracle(parse("(2 + 3) * 4"), (0, 0, 0)) == 20.0
 
 
 EXPRESSIONS = [
@@ -142,23 +148,23 @@ class TestEvaluation:
     @pytest.mark.parametrize("point", POINTS)
     def test_against_shadow_evaluator(self, text, point):
         e = parse(text)
-        assert evaluate(e, point) == pytest.approx(eval_oracle(e, point), rel=1e-14, abs=1e-14)
+        assert value_at(e, point) == pytest.approx(eval_oracle(e, point), rel=1e-14, abs=1e-14)
 
     def test_division_by_zero(self):
         with pytest.raises(EvaluationDomainError):
-            evaluate(parse("1 / x1"), (0.0, 0.0, 0.0))
+            value_at(parse("1 / x1"), (0.0, 0.0, 0.0))
 
     def test_log_of_negative(self):
         with pytest.raises(EvaluationDomainError):
-            evaluate(parse("log(x1)"), (-1.0, 0.0, 0.0))
+            value_at(parse("log(x1)"), (-1.0, 0.0, 0.0))
 
     def test_negative_base_fractional_exponent(self):
         with pytest.raises(EvaluationDomainError):
-            evaluate(parse("x1 ^ 0.5"), (-1.0, 0.0, 0.0))
+            value_at(parse("x1 ^ 0.5"), (-1.0, 0.0, 0.0))
 
     def test_overflow_is_nonfinite(self):
         with pytest.raises(NonFiniteError):
-            evaluate(parse("exp(x1)"), (1e9, 0.0, 0.0))
+            value_at(parse("exp(x1)"), (1e9, 0.0, 0.0))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -169,7 +175,7 @@ class TestEvaluation:
     )
     def test_linearity(self, a, b, x, y):
         e = parse(f"({a!r}) * x1 + ({b!r}) * x2")
-        assert evaluate(e, (x, y, 0.0)) == pytest.approx(a * x + b * y, abs=1e-9)
+        assert value_at(e, (x, y, 0.0)) == pytest.approx(a * x + b * y, abs=1e-9)
 
 
 class TestDerivative:
@@ -178,7 +184,7 @@ class TestDerivative:
     def test_against_finite_differences(self, text, axis):
         point = (0.3, 0.7, 0.2)
         d = diff(parse(text), axis)
-        exact = evaluate(d, point)
+        exact = value_at(d, point)
         approx = fd_derivative(text, point, axis)
         assert exact == pytest.approx(approx, rel=1e-7, abs=1e-7)
 
@@ -188,12 +194,12 @@ class TestDerivative:
 
     def test_power_rule(self):
         d = diff(parse("x1^3"), 1)
-        assert evaluate(d, (2.0, 0.0, 0.0)) == pytest.approx(12.0)
+        assert value_at(d, (2.0, 0.0, 0.0)) == pytest.approx(12.0)
 
     def test_general_power(self):
         # d/dx1 x1^x2 at (2, 3): x1^x2 (x2/x1) = 8 * 1.5 = 12
         d = diff(parse("x1^x2"), 1)
-        assert evaluate(d, (2.0, 3.0, 0.0)) == pytest.approx(12.0)
+        assert value_at(d, (2.0, 3.0, 0.0)) == pytest.approx(12.0)
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
@@ -215,7 +221,7 @@ class TestDepthLimit:
     @pytest.mark.parametrize("shape", DEEP_SHAPES)
     def test_deepest_accepted_tree_stays_inside_the_recursion_limit(self, shape):
         e = parse(DEEP_SHAPES[shape](_Parser.MAX_DEPTH))
-        assert math.isfinite(evaluate(e, (1.0, 1.0, 1.0)))
+        assert math.isfinite(eval_oracle(e, (1.0, 1.0, 1.0)))
         for tree in [e] + [diff(e, k) for k in (1, 2, 3)]:
             to_python_source(tree)
             try:
@@ -240,11 +246,12 @@ class TestCompiled:
     @pytest.mark.parametrize("text", EXPRESSIONS)
     @pytest.mark.parametrize("point", POINTS)
     def test_matches_interpreter(self, text, point):
+        # Two points, so that the stack takes its numpy pass.
         e = parse(text)
-        fn = compile_expr(e)
-        assert call_compiled(fn, point) == pytest.approx(
-            evaluate(e, point), rel=1e-14, abs=1e-14
-        )
+        values, failures = ExpressionStack([e]).evaluate(np.array([point, point]))
+        assert failures == {}
+        expected = eval_oracle(e, point)
+        assert values[:, 0] == pytest.approx([expected, expected], rel=1e-14, abs=1e-14)
 
     def test_compiled_domain_error(self):
         fn = compile_expr(parse("sqrt(x1)"))
