@@ -43,6 +43,8 @@ from .foliation import (
     scan_defect,
 )
 from .double_groupoid import (
+    DEFAULT_COMMUTATION_TOL,
+    DEFAULT_SQUARE_CAP,
     MaterialDoubleGroupoid,
     commuting_rows,
     core,
@@ -52,9 +54,10 @@ from .double_groupoid import (
     square_from_dict,
     unfillable_indices,
 )
-from .groupoid import Arrow, FiniteGroupoid, PointSet, from_frame_field, is_transitive
+from .groupoid import DEFAULT_ARROW_TOL, Arrow, FiniteGroupoid, PointSet, from_frame_field
+from .groupoid import is_transitive
 from .infinitesimal import KINDS, classify_stack
-from .linalg3 import max_abs
+from .linalg3 import DEFAULT_RANK_REL_TOL, max_abs
 from .measures import CompositeSpec, MeasureResult, SymmetryCase, evaluate_measure_stack
 
 TASKS = ("measure", "foliate", "squares", "misalign", "infinitesimal")
@@ -348,13 +351,17 @@ def _grid_field(path: str, node: dict, config_dir: Path):
 
 
 def _float_diagnostics(value, schema: dict, path: str = "") -> list[str]:
-    """The numbers the run reads as floats that no float holds: JSON integers past 1.8e308."""
+    """The numbers the run reads as floats that no finite float holds.
+
+    The schema passes, as jsonschema does, JSON integers past 1.8e308 and
+    the NaN, Infinity, -Infinity and 1e999 that json reads as floats.
+    """
     if schema.get("type") == "number":
         try:
-            float(value)
+            number = float(value)
         except OverflowError:
             return [f"{path}: integer too large to convert to float"]
-        return []
+        return [] if math.isfinite(number) else [f"{path}: {number!r} is not a finite number"]
     if isinstance(value, list) and "items" in schema:
         parts = [(f"{path}[{i}]", item, schema["items"]) for i, item in enumerate(value)]
     elif isinstance(value, dict):
@@ -489,10 +496,10 @@ class _Context:
         self.config = config
         self.fields = fields  # validation's fields, by config path
         tolerances = config.get("tolerances", {})
-        self.rank_rel_tol = float(tolerances.get("rank_rel_tol", 1e-8))
-        self.commutation_tol = float(tolerances.get("commutation_tol", 1e-9))
-        self.group_tol = float(tolerances.get("group_tol", 1e-9))
-        self.max_squares = int(config.get("max_squares", 200_000))
+        self.rank_rel_tol = float(tolerances.get("rank_rel_tol", DEFAULT_RANK_REL_TOL))
+        self.commutation_tol = float(tolerances.get("commutation_tol", DEFAULT_COMMUTATION_TOL))
+        self.group_tol = float(tolerances.get("group_tol", DEFAULT_ARROW_TOL))
+        self.max_squares = int(config.get("max_squares", DEFAULT_SQUARE_CAP))
         self.foliation_report = None
 
     @cached_property

@@ -498,26 +498,23 @@ class ExpressionStack:
 
         Returns (values, failures), failures mapping a node index to the
         error call_compiled raises there at its first failing expression.
-        One numpy pass computes every node. Nodes it cannot vouch for are
-        evaluated again one at a time through call_compiled: nodes with a
-        non-finite value, or every node when numpy flags a division by
-        zero, an overflow or an invalid operation anywhere (an infinite
-        intermediate may turn finite again, where math raises). A single
-        point goes through call_compiled directly, which is faster than
-        a numpy pass for one node.
+        One numpy pass computes every node, however many there are. Nodes
+        it cannot vouch for are evaluated again one at a time through
+        call_compiled: nodes with a non-finite value, or every node when
+        numpy flags a division by zero, an overflow or an invalid
+        operation anywhere (an infinite intermediate may turn finite
+        again, where math raises).
         """
         n = len(points)
         values = np.empty((n, len(self.exprs)))
-        suspects = range(n)
-        if n > 1:
-            try:
-                with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-                    for k, column in enumerate(self._array_fn(*points.T)):
-                        values[:, k] = column
-                # A row sum is non-finite when any entry is (or, harmlessly, overflows).
-                suspects = np.flatnonzero(~np.isfinite(values.sum(axis=1))).tolist()
-            except ArithmeticError:
-                pass
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                for k, column in enumerate(self._array_fn(*points.T)):
+                    values[:, k] = column
+            # A row sum is non-finite when any entry is (or, harmlessly, overflows).
+            suspects = np.flatnonzero(~np.isfinite(values.sum(axis=1))).tolist()
+        except ArithmeticError:
+            suspects = range(n)
         failures = {}
         for node in suspects:
             try:

@@ -10,12 +10,11 @@ node-based: evaluation snaps to the nearest grid node.
 Every field evaluates whole point stacks: value_stack and jet_stack take
 an (N, 3) array and return (N, ...) arrays plus a dict of per-node
 failures (see errors.merge_failures). Analytic entries run as one numpy
-pass over the coordinate arrays (a single point through the math
-module); sampled fields look up all nodes at once. Rows of failing
-nodes hold placeholders (the identity frame, zero vectors and
-derivatives) so that later array steps stay finite. The per-point value
-and jet are the same computation on a stack of one point, raising that
-point's error.
+pass over the coordinate arrays; sampled fields look up all nodes at
+once. Rows of failing nodes hold placeholders (the identity frame, zero
+vectors and derivatives) so that later array steps stay finite. The
+per-point value and jet are the same computation on a stack of one
+point, raising that point's error.
 """
 from __future__ import annotations
 

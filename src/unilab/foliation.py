@@ -30,6 +30,7 @@ from .errors import (
 from .fields import AnalyticVectorField, BodyDomain
 from .geometry import christoffel_stack
 from .linalg3 import (
+    DEFAULT_RANK_REL_TOL,
     Vec3,
     as_points,
     as_vec3,
@@ -40,8 +41,6 @@ from .linalg3 import (
     max_abs,
 )
 from .measures import CompositeSpec, SymmetryCase, measure_case1, measure_case1_stack
-
-DEFAULT_RANK_REL_TOL = 1e-8
 
 
 class FoliationClass(Enum):

@@ -72,9 +72,6 @@ class Arrow:
     map: Mat3
     map2: Mat3 | None = None  # second payload for product-represented arrows
 
-    def is_loop(self) -> bool:
-        return self.source == self.target
-
 
 def arrows_match(a: Arrow, b: Arrow, tolerance: float = DEFAULT_ARROW_TOL) -> bool:
     """Same endpoints and max-entry map distance within tolerance."""

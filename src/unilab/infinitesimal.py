@@ -26,6 +26,7 @@ import numpy as np
 from .fields import FrameField
 from .geometry import christoffel
 from .linalg3 import (
+    DEFAULT_RANK_REL_TOL,
     Mat3,
     Vec3,
     as_vec3,
@@ -35,8 +36,6 @@ from .linalg3 import (
     max_abs,
 )
 from .measures import CompositeSpec, measure_case1
-
-DEFAULT_RANK_REL_TOL = 1e-8
 
 
 def arrow_map(field: FrameField, x, x_prime) -> Mat3:

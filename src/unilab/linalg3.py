@@ -15,7 +15,7 @@ Vec3 = np.ndarray
 Mat3 = np.ndarray
 Ten3 = np.ndarray
 
-DEFAULT_KERNEL_REL_TOL = 1e-8
+DEFAULT_RANK_REL_TOL = 1e-8
 
 
 def _as_array(values, shape, label: str) -> np.ndarray:
@@ -106,7 +106,7 @@ class KernelResult(NamedTuple):
     singular_values: np.ndarray  # (3,), descending
 
 
-def kernel_of_flattened(b: Ten3, rel_tol: float = DEFAULT_KERNEL_REL_TOL) -> KernelResult:
+def kernel_of_flattened(b: Ten3, rel_tol: float = DEFAULT_RANK_REL_TOL) -> KernelResult:
     """Null space of v -> B v via the 9x3 flattening M[(3I+J), K] = B^I_JK.
 
     A singular value sigma counts as zero when sigma <= rel_tol * sigma_max.
@@ -121,7 +121,7 @@ def kernel_of_flattened(b: Ten3, rel_tol: float = DEFAULT_KERNEL_REL_TOL) -> Ker
     return KernelResult(dim, basis, sigma.copy())
 
 
-def kernel_stack(b: np.ndarray, rel_tol: float = DEFAULT_KERNEL_REL_TOL):
+def kernel_stack(b: np.ndarray, rel_tol: float = DEFAULT_RANK_REL_TOL):
     """Singular values (N, 3) and kernel dimensions (N,) of a finite (N, 3, 3, 3) stack.
 
     The same flattening and rank rule as kernel_of_flattened. No kernel

@@ -1,6 +1,8 @@
 """Config validation, report generation, determinism, and exit codes."""
+import copy
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +44,22 @@ def run_report(tmp_path, config, name="report.json"):
     out = tmp_path / name
     code = main(["run", "--config", str(config), "--out", str(out)])
     return code, out
+
+
+def config_with(path, **keys):
+    """The config at path, with the given top-level keys added or replaced."""
+    return {**json.loads(path.read_text()), **keys}
+
+
+IDENTITY_LOOPS = {
+    side: {"arrows": [{"id": "e", "source": "W", "target": "W",
+                       "map": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]}]}
+    for side in ("horizontal", "vertical")
+}
+ONE_POINT = config_with(
+    GOOD[1], points=[{"id": "W", "coords": [0.0, 0.0, 0.0]}], pairs=[["W", "W"]],
+    pair_comparisons=[[["W", "W"], ["W", "W"]]],
+)
 
 
 def tallest_tower():
@@ -149,25 +167,47 @@ class TestValidation:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
-        "base, keys, expected",
+        "base, keys, value, expected",
         [
-            (1, ["points", 0, "coords", 1],
+            (config_with(GOOD[1]), ["points", 0, "coords", 1], 10 ** 400,
              "points[0].coords[1]: integer too large to convert to float"),
-            (2, ["domain", "upper", 0], "domain.upper[0]: integer too large to convert to float"),
-            (2, ["tolerances", "rank_rel_tol"],
+            (config_with(GOOD[2]), ["domain", "upper", 0], 10 ** 400,
+             "domain.upper[0]: integer too large to convert to float"),
+            (config_with(GOOD[2]), ["tolerances", "rank_rel_tol"], 10 ** 400,
              f"tolerances.rank_rel_tol: {10 ** 400} is greater than or equal to the maximum of 1"),
-            (1, ["tolerances", "group_tol"],
+            (config_with(GOOD[1]), ["tolerances", "group_tol"], 10 ** 400,
              "tolerances.group_tol: integer too large to convert to float"),
+            # Python's json reads NaN, Infinity and -Infinity; no finite float holds them.
+            (config_with(GOOD[2]), ["tolerances", "rank_rel_tol"], math.nan,
+             "tolerances.rank_rel_tol: nan is not a finite number"),
+            (config_with(GOOD[1]), ["tolerances", "commutation_tol"], math.nan,
+             "tolerances.commutation_tol: nan is not a finite number"),
+            (config_with(GOOD[1]), ["tolerances", "commutation_tol"], math.inf,
+             "tolerances.commutation_tol: inf is not a finite number"),
+            (config_with(GOOD[1]), ["tolerances", "group_tol"], math.nan,
+             "tolerances.group_tol: nan is not a finite number"),
+            (config_with(GOOD[1]), ["points", 0, "coords", 1], math.nan,
+             "points[0].coords[1]: nan is not a finite number"),
+            (config_with(GOOD[2]), ["domain", "upper", 0], math.inf,
+             "domain.upper[0]: inf is not a finite number"),
+            (config_with(GOOD[2]), ["domain", "lower", 2], -math.inf,
+             "domain.lower[2]: -inf is not a finite number"),
+            (config_with(GOOD[1], groupoids=IDENTITY_LOOPS),
+             ["groupoids", "vertical", "arrows", 0, "map", 4], math.nan,
+             "groupoids.vertical.arrows[0].map[4]: nan is not a finite number"),
         ],
-        ids=["point-coordinate", "domain-upper", "rank_rel_tol", "group_tol"],
+        ids=["point-coordinate", "domain-upper", "rank_rel_tol", "group_tol", "nan-rank_rel_tol",
+             "nan-commutation_tol", "inf-commutation_tol", "nan-group_tol",
+             "nan-point-coordinate", "inf-domain-upper", "-inf-domain-lower", "nan-arrow-map"],
     )
-    def test_integer_beyond_float_range_is_located(self, tmp_path, capsys, base, keys, expected):
-        config = json.loads(GOOD[base].read_text())
+    def test_integer_beyond_float_range_is_located(self, tmp_path, capsys, base, keys, value,
+                                                   expected):
+        config = copy.deepcopy(base)
         node = config
         for key in keys[:-1]:
             node = node[key] if isinstance(node, list) else node.setdefault(key, {})
-        node[keys[-1]] = 10 ** 400
-        path = tmp_path / "huge_number.json"
+        node[keys[-1]] = value
+        path = tmp_path / "number.json"
         path.write_text(json.dumps(config))
         assert validate_config(path) == [expected]
         code, out = run_report(tmp_path, path)
@@ -289,6 +329,24 @@ class TestValidation:
         assert loads == ["component2.npz"]
         assert json.loads(out.read_text())["tasks"]["squares"]["n_coarse"] == 2 ** 4
 
+    @pytest.mark.parametrize(
+        "case, directors, expected",
+        [("discrete-transiso", {}, "composite: case discrete-transiso requires a director"),
+         ("transiso-transiso", {"director1": ["1", "0", "0"]},
+          "composite: case transiso-transiso requires director1 and director2")],
+        ids=["discrete-transiso", "transiso-transiso"],
+    )
+    def test_case_requires_its_directors(self, tmp_path, capsys, case, directors, expected):
+        config = json.loads(GOOD[2].read_text())
+        config["composite"].update(case=case, **directors)
+        path = tmp_path / "directors.json"
+        path.write_text(json.dumps(config))
+        assert validate_config(path) == [expected]
+        code, out = run_report(tmp_path, path)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == f"{expected}\n"
+
     def test_run_refuses_invalid_config(self, tmp_path):
         code, out = run_report(tmp_path, CONFIG_DIR / "bad_schema.json")
         assert code == 1
@@ -327,12 +385,17 @@ class TestOnePass:
         provenance = json.loads(piped.read_text())["provenance"]
         assert provenance["config_sha256"] == hashlib.sha256(raw).hexdigest()
 
-    @pytest.mark.parametrize("config, compiles", [(GOOD[1], 2), (GOOD[2], 4)],
-                             ids=["squares", "lattice"])
+    @pytest.mark.parametrize(
+        "config, compiles",
+        [(config_with(GOOD[1]), 2), (config_with(GOOD[2]), 4), (ONE_POINT, 2)],
+        ids=["squares", "lattice", "one-point"],
+    )
     def test_run_compiles_only_the_stacks_it_evaluates(self, tmp_path, monkeypatch, config,
                                                        compiles):
         # A squares run evaluates each frame's values, a lattice run its
-        # derivatives too: one stack each.
+        # derivatives too: one stack each, on any number of points.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
         calls = []
         compile_ = expressions._compile
 
@@ -341,7 +404,7 @@ class TestOnePass:
             return compile_(*args)
 
         monkeypatch.setattr(expressions, "_compile", counting)
-        assert run_report(tmp_path, config)[0] == 0
+        assert run_report(tmp_path, path)[0] == 0
         assert calls == ["<expr-stack>"] * compiles
 
     def test_stack_failure_with_compiling_cells_is_located(self, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """Analytic and sampled frame fields: values, jets, domains, persistence."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_expressions import eval_oracle
 from unilab.errors import NonFiniteError, OutOfDomainError, SingularFrameError
@@ -196,3 +198,35 @@ class TestFrameJet:
             value, deriv = field.jet(p)
             assert np.allclose(value, np.eye(3))
             assert np.allclose(deriv, 0.0)
+
+
+# Cells using exp, log, tan and ^, whose numpy and math values can differ
+# in the last bit. They and their derivatives are finite on [0.1, 2]^3.
+CELLS = ["exp(x1*x2)", "log(x1 + x3)", "tan(x2/4)", "x1^x3", "sqrt(x2)*x3^2.5",
+         "exp(-x3)/sqrt(x1)", "log(x2)^3", "x2^x1 - tan(x3/3)", "1"]
+COORD = st.floats(0.1, 2.0)
+
+
+class TestPointIsARowOfAnyBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.lists(st.sampled_from(CELLS), min_size=9, max_size=9),
+        points=st.lists(st.tuples(COORD, COORD, COORD), min_size=1, max_size=6),
+    )
+    def test_value_and_jet_are_rows_of_the_stacks(self, cells, points):
+        points = np.array(points)
+        frame = AnalyticFrameField.from_strings([cells[0:3], cells[3:6], cells[6:9]])
+        for field in (frame, AnalyticVectorField.from_strings(cells[:3])):
+            values, value_failures = field.value_stack(points)
+            jet_values, derivs, jet_failures = field.jet_stack(points)
+            for i, p in enumerate(points):
+                if i in value_failures:  # a singular frame
+                    with pytest.raises(type(value_failures[i])):
+                        field.value(p)
+                    with pytest.raises(type(jet_failures[i])):
+                        field.jet(p)
+                    continue
+                assert np.array_equal(field.value(p), values[i])
+                value, deriv = field.jet(p)
+                assert np.array_equal(value, jet_values[i])
+                assert np.array_equal(deriv, derivs[i])
