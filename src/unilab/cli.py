@@ -38,6 +38,7 @@ from .foliation import (
     LatticeDefect,
     classify_m_counts,
     lattice_defect,
+    records,
     report_to_csv,
     report_to_dict,
     scan_defect,
@@ -677,10 +678,7 @@ def _task_infinitesimal(ctx: _Context) -> dict:
         "kind_counts": {names[k]: int(c) for k, c in enumerate(kind_counts) if c},
         "m_counts": {str(m): int(m_counts[m]) for m in range(4)},
         "m_mode": int(np.argmax(m_counts)),
-        "nodes": [
-            {"x": x, "kind": names[k], "m": m}
-            for x, k, m in zip(defect.points.tolist(), kinds.tolist(), ms.tolist())
-        ],
+        "nodes": records(x=defect.points, kind=np.array(names)[kinds], m=ms),
     }
 
 
@@ -699,41 +697,92 @@ _TASK_RUNNERS = {
 
 
 def canonical_json(value) -> str:
-    """JSON with sorted keys and %.12e floats, for byte-stable reports."""
-    pieces: list[str] = []
-    _emit(value, pieces)
-    return "".join(pieces)
+    """JSON with sorted keys and %.12e floats, for byte-stable reports.
+
+    Values are None, bools, ints, floats, strings, dicts, lists, tuples,
+    numpy integer and floating scalars, and 1-D structured arrays, which
+    are written as a list of records with their field names as keys.
+    Anything else is a TypeError.
+    """
+    out: list[str] = []
+    _write(value, out, {})
+    return "".join(out)
 
 
-def _emit(value, out: list[str]) -> None:
-    if value is None:
+def _write(value, out: list[str], keys: dict) -> None:
+    """Append value's text to out; keys caches each string key's `"key":` text."""
+    kind = type(value)
+    if kind is float:
+        out.append("%.12e" % value)
+    elif kind is int:
+        out.append(str(value))
+    elif value is None:
         out.append("null")
-    elif isinstance(value, bool):
+    elif kind is bool:
         out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append("%.12e" % float(value))
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif isinstance(value, dict):
         out.append("{")
         for i, key in enumerate(sorted(value)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(value[key], out)
+            text = keys.get(key)
+            if text is None:
+                text = json.dumps(str(key)) + ":"
+                if type(key) is str:
+                    keys[key] = text
+            out.append("," + text if i else text)
+            _write(value[key], out, keys)
         out.append("}")
     elif isinstance(value, (list, tuple)):
+        if value and all(type(item) is float for item in value):
+            out.append("[" + ",".join(["%.12e" % item for item in value]) + "]")
+            return
         out.append("[")
         for i, item in enumerate(value):
             if i:
                 out.append(",")
-            _emit(item, out)
+            _write(item, out, keys)
         out.append("]")
+    # numpy scalars (np.float64 is a float, np.int64 is not an int) and subclasses
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        out.append("%.12e" % float(value))
+    elif isinstance(value, np.ndarray) and value.dtype.names is not None and value.ndim == 1:
+        out.append(_records_text(value))
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
+
+
+def _records_text(array: np.ndarray) -> str:
+    """A structured array as a JSON list of objects, formatted one field column at a time.
+
+    Each field becomes columns of %-format arguments: floats and float
+    sub-array rows are formatted by the record template itself, ints as
+    `str` does, and each distinct string is JSON-encoded once. One
+    template, its keys sorted and `%` escaped, then writes each record.
+    """
+    parts, columns = [], []
+    for name in sorted(array.dtype.names):
+        column = array[name]
+        kind = column.dtype.kind
+        if kind not in "fiuU" or column.ndim > 2 or (column.ndim == 2 and kind != "f"):
+            raise TypeError(f"cannot serialize field {name!r} of type {array.dtype[name]}")
+        key = json.dumps(name).replace("%", "%%") + ":"
+        if column.ndim == 2:
+            parts.append(key + "[" + ",".join(["%.12e"] * column.shape[1]) + "]")
+            columns.extend(column.T.tolist())
+        elif kind == "U":
+            strings, index = np.unique(column, return_inverse=True)
+            encoded = [json.dumps(s) for s in strings.tolist()]
+            parts.append(key + "%s")
+            columns.append([encoded[i] for i in index.tolist()])
+        else:
+            parts.append(key + ("%.12e" if kind == "f" else "%d"))
+            columns.append(column.tolist())
+    template = "{" + ",".join(parts) + "}"
+    rows = zip(*columns) if columns else [()] * len(array)
+    return "[" + ",".join([template % row for row in rows]) + "]"
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,21 @@ def _node_rows(report: FoliationReport):
     return zip(report.points.tolist(), report.m.tolist(), report.sigma_min.tolist())
 
 
+def records(**columns) -> np.ndarray:
+    """A 1-D structured array with one field per named column.
+
+    Each column is an array with one row per record; a 2-D column such as
+    the (N, 3) points becomes a sub-array field.
+    """
+    n = len(next(iter(columns.values())))
+    out = np.empty(n, dtype=[(name, c.dtype, c.shape[1:]) for name, c in columns.items()])
+    for name, column in columns.items():
+        out[name] = column
+    return out
+
+
 def report_to_dict(report: FoliationReport) -> dict:
+    """The foliate task's report block; "nodes" is a record array with fields x, m, sigma_min."""
     counts = np.bincount(report.m, minlength=4)
     return {
         "class": report.foliation_class.value,
@@ -276,10 +290,7 @@ def report_to_dict(report: FoliationReport) -> dict:
         "m_counts": {str(m): int(counts[m]) for m in range(4)},
         "involutivity_max_residual": report.involutivity_max_residual,
         "n_failures": len(report.failures),
-        "nodes": [
-            {"x": x, "m": m, "sigma_min": sigma_min}
-            for x, m, sigma_min in _node_rows(report)
-        ],
+        "nodes": records(x=report.points, m=report.m, sigma_min=report.sigma_min),
     }
 
 

@@ -21,10 +21,9 @@ import numpy as np
 
 from .errors import NotComposableError, NotTransitiveError, UnilabError, raise_first
 from .fields import FrameField
-from .linalg3 import Mat3, Vec3, as_mat3, as_vec3, invert, is_singular
+from .linalg3 import DEFAULT_ARROW_TOL, Mat3, Vec3, as_mat3, as_vec3, invert, is_singular
 from .measures import FiniteMatrixGroup
 
-DEFAULT_ARROW_TOL = 1e-9
 # Composable pairs (u, v) per block of the stacked closure check.
 PAIR_BLOCK = 512
 

@@ -16,6 +16,9 @@ Mat3 = np.ndarray
 Ten3 = np.ndarray
 
 DEFAULT_RANK_REL_TOL = 1e-8
+# Max-entry distance within which two 3x3 maps are the same groupoid arrow
+# or matrix group element.
+DEFAULT_ARROW_TOL = 1e-9
 
 
 def _as_array(values, shape, label: str) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import MissingDirectorError, NotAGroupError, merge_failures, raise_first
 from .fields import FrameField, VectorField
 from .geometry import christoffel, christoffel_stack, covariant_derivative_stack, metric_stack
-from .linalg3 import Mat3, Ten3, as_mat3, as_points, as_vec3, at_point, invert
+from .linalg3 import DEFAULT_ARROW_TOL, Mat3, Ten3, as_mat3, as_points, as_vec3, at_point, invert
 
 
 class SymmetryCase(Enum):
@@ -234,7 +234,7 @@ class FiniteMatrixGroup:
     """Finite set of invertible 3x3 matrices, validated as a group."""
 
     elements: list[np.ndarray]
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_ARROW_TOL
     check: bool = field(default=True, repr=False)
 
     def __post_init__(self):
@@ -260,7 +260,7 @@ class FiniteMatrixGroup:
 
 
 def intersect_groups(
-    group1: FiniteMatrixGroup, group2: FiniteMatrixGroup, tolerance: float = 1e-9
+    group1: FiniteMatrixGroup, group2: FiniteMatrixGroup, tolerance: float = DEFAULT_ARROW_TOL
 ) -> FiniteMatrixGroup:
     """Symmetry group of the composite: elements of group1 matching group2 within tolerance."""
     group1.validate()

@@ -1,10 +1,12 @@
-"""Scalar reference implementations of the stacked groupoid and double-groupoid facts.
+"""Scalar reference implementations of stacked library code.
 
-Each one walks Arrow and Square objects one at a time, with the same
-tolerances and the same first-failure messages as the library. The
-library computes these facts on stacked arrays; the tests hold its
-results to these.
+The groupoid and double-groupoid facts walk Arrow and Square objects one
+at a time, with the same tolerances and the same first-failure messages
+as the library, which computes them on stacked arrays. `canonical_json`
+writes a report one value at a time; the library writes record arrays a
+column at a time. The tests hold the library's results to these.
 """
+import json
 from functools import cache
 
 import numpy as np
@@ -102,3 +104,41 @@ def opposite_pair_max_deviation(dg: MaterialDoubleGroupoid) -> float:
             float(np.max(np.abs(m(sq.W, sq.X) - m(sq.Y, sq.Z)))),
         )
     return deviation
+
+
+def canonical_json(value) -> str:
+    """JSON with sorted keys and %.12e floats, one value at a time."""
+    pieces: list[str] = []
+    _emit(value, pieces)
+    return "".join(pieces)
+
+
+def _emit(value, out: list[str]) -> None:
+    if value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        out.append("%.12e" % float(value))
+    elif isinstance(value, str):
+        out.append(json.dumps(value))
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(key)))
+            out.append(":")
+            _emit(value[key], out)
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            _emit(item, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__} deterministically")

@@ -10,7 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_oracles
 from unilab import cli, expressions
 from unilab.cli import canonical_json, main, validate_config
 from unilab.double_groupoid import (
@@ -544,6 +547,113 @@ class TestCanonicalJson:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             canonical_json({"bad": {1, 2}})
+
+
+KEYS = st.one_of(st.text(), st.sampled_from(["%", "%s", "%%d", '"', 'a"%b', "ключ", "", "m"]))
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.floats(),
+    st.text(),
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(st.floats()),
+        st.dictionaries(KEYS, children),
+    ),
+    max_leaves=25,
+)
+
+# Field kinds of a record array, with a strategy for one cell.
+FIELD_KINDS = {
+    "f8": st.floats(),
+    "f4": st.floats(width=32),
+    "i8": st.integers(-(2**63), 2**63 - 1),
+    "i4": st.integers(-(2**31), 2**31 - 1),
+    "u1": st.integers(0, 255),
+    "U6": st.text(max_size=6),
+    "3f8": st.lists(st.floats(), min_size=3, max_size=3),
+}
+
+
+@st.composite
+def record_arrays(draw):
+    names = draw(st.lists(st.one_of(st.text(min_size=1), KEYS.filter(bool)),
+                          min_size=1, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from(sorted(FIELD_KINDS))) for _ in names]
+    n = draw(st.integers(0, 50))
+    array = np.zeros(n, dtype=[(name, kind) for name, kind in zip(names, kinds)])
+    for name, kind in zip(names, kinds):
+        array[name] = draw(st.lists(FIELD_KINDS[kind], min_size=n, max_size=n)) if n else 0
+    return array
+
+
+def as_dicts(array):
+    """The records of a structured array as dicts of numpy scalars and lists."""
+    fields = {name: array[name] for name in array.dtype.names}
+    return [
+        {name: col[i].tolist() if col.ndim > 1 else col[i] for name, col in fields.items()}
+        for i in range(len(array))
+    ]
+
+
+class TestCanonicalJsonAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(VALUES)
+    def test_nested_values_match_oracle(self, value):
+        assert canonical_json(value) == scalar_oracles.canonical_json(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(record_arrays())
+    def test_record_arrays_match_oracle_on_dicts(self, array):
+        assert canonical_json(array) == scalar_oracles.canonical_json(as_dicts(array))
+        nested = {"nodes": array, "n": len(array)}
+        assert canonical_json(nested) == scalar_oracles.canonical_json(
+            {"nodes": as_dicts(array), "n": len(array)}
+        )
+
+    def test_non_string_keys_are_not_confused(self):
+        value = {"a": {1: 0}, "b": {True: 0}, "c": {1.0: 0}, "d": {"1": 0}}
+        assert canonical_json(value) == scalar_oracles.canonical_json(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.arange(3.0),
+            np.zeros((2, 2), dtype=[("a", "f8")]),
+            np.zeros(2, dtype=[("a", "f8", (2, 2))]),
+            np.zeros(2, dtype=[("a", "i8", (3,))]),
+            np.zeros(2, dtype=[("a", "?")]),
+            np.zeros(2, dtype=[("a", "c16")]),
+            np.True_,
+            {1, 2},
+        ],
+        ids=["plain", "2-d", "matrix-field", "int-row-field", "bool-field", "complex-field",
+             "np-bool", "set"],
+    )
+    def test_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            canonical_json({"value": [value]})
+
+    def test_one_call_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        writer = cli.canonical_json
+
+        def counted(value):
+            calls.append(1)
+            return writer(value)
+
+        monkeypatch.setattr(cli, "canonical_json", counted)
+        code, _ = run_report(tmp_path, GOOD[2])
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestConsoleScript:

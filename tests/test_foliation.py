@@ -176,8 +176,7 @@ class TestSerialization:
         assert data["n_samples"] == 125
         assert data["m_counts"]["2"] == 125
         assert len(data["nodes"]) == 125
-        node = data["nodes"][0]
-        assert set(node) == {"x", "m", "sigma_min"}
+        assert set(data["nodes"].dtype.names) == {"x", "m", "sigma_min"}
 
     def test_csv_shape(self):
         report = scan_domain(LAMINATED, INTERIOR)

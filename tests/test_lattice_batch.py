@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_double_groupoid import workloads
 from unilab.cli import main
 from unilab.errors import EvaluationDomainError, ExpressionCompileError, UnilabError
 from unilab.expressions import ExpressionStack, call_compiled, compile_expr, parse
@@ -263,3 +264,50 @@ def test_golden_reports(tmp_path, name):
     out = tmp_path / "report.json"
     assert main(["run", "--config", str(CONFIG_DIR / name), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
+
+
+# sha256 of reports whose sigma_min is not zero everywhere, as written
+# before node records went to the report writer as record arrays: the
+# lattice workloads at seed 1, and the JSON and CSV reports of
+# NON_UNIFORM, whose 120 nodes have 120 distinct sigma_min.
+GOLDEN_WORKLOADS = {
+    "lattice": "3a17c044d0110ed29cbfcc1fa6207c636d08c88a381917838a3adc343b81304c",
+    "lattice-sampled": "11ccbde63d3509aef9376ffdc38fabe78bb638fc33d2eb1214259017e1de2cfb",
+}
+NON_UNIFORM = {
+    "schema": 1,
+    "domain": {"lower": [-0.5, -0.5, -0.5], "upper": [1.0, 1.0, 1.0], "resolution": [6, 5, 4]},
+    "composite": {
+        "case": "discrete-discrete",
+        "component1": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "component2": [["1", "x1*x2", "x3^2"], ["x2*x3", "1", "0"], ["0", "x1", "1"]],
+    },
+    "tolerances": {"rank_rel_tol": 1e-8},
+    "tasks": ["measure", "foliate", "infinitesimal"],
+}
+GOLDEN_NON_UNIFORM = {
+    "json": "753133ae101701bfaf24b7d440ac521bedcc83c79c3cf2e35ea1fe6fd8c0f74c",
+    "csv": "f1d65a355302c4a9d8ab16895a7ed55de9495f39d364bf174449ebe7a8fde556",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_WORKLOADS)
+def test_golden_lattice_workload_reports(tmp_path, name):
+    config = workloads().WORKLOADS[name].generate(1, tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_WORKLOADS[name]
+
+
+@pytest.mark.parametrize("out_format", GOLDEN_NON_UNIFORM)
+def test_golden_non_uniform_reports(tmp_path, out_format):
+    config = tmp_path / "non_uniform.json"
+    config.write_text(json.dumps(NON_UNIFORM))
+    out = tmp_path / f"report.{out_format}"
+    args = ["run", "--config", str(config), "--out", str(out), "--format", out_format]
+    assert main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_NON_UNIFORM[out_format]
+    if out_format == "json":
+        foliate = json.loads(out.read_text())["tasks"]["foliate"]
+        assert foliate["class"] == "TotallyNonUniform"
+        assert len({node["sigma_min"] for node in foliate["nodes"]}) == 120

@@ -4,6 +4,7 @@ import pytest
 
 from unilab.errors import MissingDirectorError, NotAGroupError
 from unilab.fields import AnalyticFrameField, AnalyticVectorField
+from unilab.groupoid import DEFAULT_ARROW_TOL
 from unilab.measures import (
     CompositeSpec,
     FiniteMatrixGroup,
@@ -236,3 +237,7 @@ class TestFiniteMatrixGroup:
         g2 = FiniteMatrixGroup([np.eye(3), s])
         inter = intersect_groups(g1, g2)
         assert len(inter) == 1
+
+    def test_default_tolerance_is_the_arrow_tolerance(self):
+        g = FiniteMatrixGroup(self.four_group())
+        assert g.tolerance == intersect_groups(g, g).tolerance == DEFAULT_ARROW_TOL
