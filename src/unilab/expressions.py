@@ -507,6 +507,10 @@ class ExpressionStack:
         """
         n = len(points)
         values = np.empty((n, len(self.exprs)))
+        if 0 in points.strides:
+            # A broadcast stack, such as point[None]: numpy takes a
+            # zero-stride column for one scalar and may round differently.
+            points = points.copy()
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
                 for k, column in enumerate(self._array_fn(*points.T)):

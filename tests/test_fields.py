@@ -1,7 +1,7 @@
 """Analytic and sampled frame fields: values, jets, domains, persistence."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_expressions import eval_oracle
@@ -212,6 +212,12 @@ class TestPointIsARowOfAnyBatch:
     @given(
         cells=st.lists(st.sampled_from(CELLS), min_size=9, max_size=9),
         points=st.lists(st.tuples(COORD, COORD, COORD), min_size=1, max_size=6),
+    )
+    # x2^x1 at x2 = 0.1, x1 = 2 rounds differently when numpy sees a
+    # zero-stride (broadcast) column, as a lone point's stack has.
+    @example(
+        cells=["x2^x1 - tan(x3/3)", "1", "1", "1", "exp(x1*x2)", "1", "1", "1", "log(x1 + x3)"],
+        points=[(2.0, 0.1, 1.0)],
     )
     def test_value_and_jet_are_rows_of_the_stacks(self, cells, points):
         points = np.array(points)
