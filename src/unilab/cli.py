@@ -704,50 +704,38 @@ def canonical_json(value) -> str:
     are written as a list of records with their field names as keys.
     Anything else is a TypeError.
     """
-    out: list[str] = []
-    _write(value, out, {})
-    return "".join(out)
+    pieces: list[str] = []
+    _emit(value, pieces)
+    return "".join(pieces)
 
 
-def _write(value, out: list[str], keys: dict) -> None:
-    """Append value's text to out; keys caches each string key's `"key":` text."""
-    kind = type(value)
-    if kind is float:
-        out.append("%.12e" % value)
-    elif kind is int:
-        out.append(str(value))
-    elif value is None:
+def _emit(value, out: list[str]) -> None:
+    if value is None:
         out.append("null")
-    elif kind is bool:
+    elif isinstance(value, bool):
         out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        out.append("%.12e" % float(value))
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif isinstance(value, dict):
         out.append("{")
         for i, key in enumerate(sorted(value)):
-            text = keys.get(key)
-            if text is None:
-                text = json.dumps(str(key)) + ":"
-                if type(key) is str:
-                    keys[key] = text
-            out.append("," + text if i else text)
-            _write(value[key], out, keys)
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(key)))
+            out.append(":")
+            _emit(value[key], out)
         out.append("}")
     elif isinstance(value, (list, tuple)):
-        if value and all(type(item) is float for item in value):
-            out.append("[" + ",".join(["%.12e" % item for item in value]) + "]")
-            return
         out.append("[")
         for i, item in enumerate(value):
             if i:
                 out.append(",")
-            _write(item, out, keys)
+            _emit(item, out)
         out.append("]")
-    # numpy scalars (np.float64 is a float, np.int64 is not an int) and subclasses
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append("%.12e" % float(value))
     elif isinstance(value, np.ndarray) and value.dtype.names is not None and value.ndim == 1:
         out.append(_records_text(value))
     else:

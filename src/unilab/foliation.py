@@ -264,10 +264,6 @@ def involutivity_residual(
 # ---------------------------------------------------------------------------
 
 
-def _node_rows(report: FoliationReport):
-    return zip(report.points.tolist(), report.m.tolist(), report.sigma_min.tolist())
-
-
 def records(**columns) -> np.ndarray:
     """A 1-D structured array with one field per named column.
 
@@ -297,6 +293,7 @@ def report_to_dict(report: FoliationReport) -> dict:
 def report_to_csv(report: FoliationReport) -> str:
     """Per-node dump with columns x1,x2,x3,m,sigma_min."""
     lines = ["x1,x2,x3,m,sigma_min"]
-    for x, m, sigma_min in _node_rows(report):
+    rows = zip(report.points.tolist(), report.m.tolist(), report.sigma_min.tolist())
+    for x, m, sigma_min in rows:
         lines.append("%.12e,%.12e,%.12e,%d,%.12e" % (*x, m, sigma_min))
     return "\n".join(lines) + "\n"

@@ -1,4 +1,6 @@
 """Kernel distribution of the case-1 defect: classes, involutivity, scans."""
+import json
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,20 @@ class TestSerialization:
         assert data["m_counts"]["2"] == 125
         assert len(data["nodes"]) == 125
         assert set(data["nodes"].dtype.names) == {"x", "m", "sigma_min"}
+
+    def test_nodes_back_to_dicts(self):
+        # The recipe the README gives for the list of dicts report_to_dict used to return.
+        report = scan_domain(LAMINATED, INTERIOR)
+        nodes = report_to_dict(report)["nodes"]
+        columns = {name: nodes[name].tolist() for name in nodes.dtype.names}
+        dicts = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        assert dicts == [
+            {"x": x, "m": m, "sigma_min": sigma_min}
+            for x, m, sigma_min in zip(
+                report.points.tolist(), report.m.tolist(), report.sigma_min.tolist()
+            )
+        ]
+        assert json.loads(json.dumps(dicts)) == dicts
 
     def test_csv_shape(self):
         report = scan_domain(LAMINATED, INTERIOR)
