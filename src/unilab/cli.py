@@ -373,6 +373,15 @@ def _float_diagnostics(value, schema: dict, path: str = "") -> list[str]:
     return [line for at, item, sub in parts for line in _float_diagnostics(item, sub, at)]
 
 
+def _overflows(lower, upper) -> bool:
+    """Whether two finite bounds span an extent upper - lower past the float range."""
+    try:
+        lower, upper = float(lower), float(upper)
+    except OverflowError:  # _float_diagnostics names the bound itself
+        return False
+    return math.isfinite(lower) and math.isfinite(upper) and not math.isfinite(upper - lower)
+
+
 def validate_config(config_path) -> list[str]:
     """Structural diagnostics for a config file; empty means runnable."""
     return _check_config(config_path)[0]
@@ -429,6 +438,8 @@ def _check_config(config_path) -> tuple[list[str], _Context | None]:
                 out.append(
                     f"domain.upper[{k}]: {upper!r} does not exceed domain.lower[{k}] = {lower!r}"
                 )
+            elif _overflows(lower, upper):
+                out.append(f"domain.upper[{k}]: extent {upper!r} - {lower!r} is not a finite number")
 
     if tasks & _TASKS_NEEDING_DOMAIN and "domain" not in config:
         out.append(

@@ -19,6 +19,8 @@ consistent on 2x2 blocks.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -230,16 +232,13 @@ def _join(columns: list[np.ndarray], keys: np.ndarray, groups) -> list[np.ndarra
     return [c[row] for c in columns] + [arrow]
 
 
-def _coarse_rows(
-    side_h: FiniteGroupoid, side_v: FiniteGroupoid, max_squares: int
-) -> tuple[int, Iterator[np.ndarray]]:
-    """The number of coarse squares, and the squares as blocks of arrow-index rows.
+def _coarse_count(side_h: FiniteGroupoid, side_v: FiniteGroupoid, max_squares: int):
+    """(total, h, v, n, per_s_hat): the number of coarse squares, each side's
+    (source, target) point numbers per arrow, the number of points, and
+    how many squares each s_hat arrow heads.
 
-    A row is (s, t, s_hat, t_hat): s and t index side_h.arrows, s_hat and
-    t_hat side_v.arrows. The rows run in coarse_enumerate's order, s_hat
-    outermost, then s, t, t_hat, in blocks of at most SQUARE_BLOCK
-    rows. The count comes from the arrow counts between point pairs, so
-    a cap it exceeds raises before any row exists.
+    The count comes from the arrow counts between point pairs, so a cap
+    it exceeds raises before any square is looked at.
     """
     points: dict[PointId, int] = {}
 
@@ -259,6 +258,20 @@ def _coarse_rows(
     total = int(per_s_hat.sum())
     if total > max_squares:
         raise SizeLimitError(f"coarse enumeration exceeds the cap of {max_squares} squares")
+    return total, h, v, n, per_s_hat
+
+
+def _coarse_rows(
+    side_h: FiniteGroupoid, side_v: FiniteGroupoid, max_squares: int
+) -> tuple[int, Iterator[np.ndarray]]:
+    """The number of coarse squares, and the squares as blocks of arrow-index rows.
+
+    A row is (s, t, s_hat, t_hat): s and t index side_h.arrows, s_hat and
+    t_hat side_v.arrows. The rows run in coarse_enumerate's order, s_hat
+    outermost, then s, t, t_hat, in blocks of at most SQUARE_BLOCK
+    rows.
+    """
+    total, h, v, n, per_s_hat = _coarse_count(side_h, side_v, max_squares)
     return total, _row_blocks(h, v, n, per_s_hat.tolist())
 
 
@@ -302,19 +315,32 @@ def coarse_enumerate(
     return [sq for rows in blocks for sq in _squares_at(side_h.arrows, side_v.arrows, rows)]
 
 
+def _scale(left: np.ndarray) -> np.ndarray:
+    """1 + |t s_hat|.max for each map of a (K, 3, 3) stack: the defect's denominator."""
+    return 1.0 + np.abs(left).max(axis=(1, 2))
+
+
+def _commutes(left: np.ndarray, right: np.ndarray, scale: np.ndarray, tolerance: float):
+    """commutation_defect <= tolerance for each pair of (K, 3, 3) stacks t s_hat, t_hat s.
+
+    scale is _scale(left). The steps are commutation_defect's, so each
+    pair's defect is the one it returns for the same two products.
+    """
+    difference = left - right
+    return np.abs(difference, out=difference).max(axis=(1, 2)) / scale <= tolerance
+
+
 def _commuting(maps_h: np.ndarray, maps_v: np.ndarray, rows: np.ndarray, tolerance: float):
     """Which rows commute, as is_commutative decides, tested SQUARE_BLOCK rows at a time.
 
-    Stacked @ computes each 3x3 product as a single @ does, so every
-    defect is the one commutation_defect returns.
+    Stacked @ computes each 3x3 product as a single @ does.
     """
     keep = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), SQUARE_BLOCK):
         block = rows[start:start + SQUARE_BLOCK]
         left = maps_h[block[:, 1]] @ maps_v[block[:, 2]]     # t s_hat
         right = maps_v[block[:, 3]] @ maps_h[block[:, 0]]    # t_hat s
-        defect = np.abs(left - right).max(axis=(1, 2)) / (1.0 + np.abs(left).max(axis=(1, 2)))
-        keep[start:start + len(block)] = defect <= tolerance
+        keep[start:start + len(block)] = _commutes(left, right, _scale(left), tolerance)
     return keep
 
 
@@ -326,13 +352,84 @@ def commuting_rows(
 ) -> tuple[int, np.ndarray]:
     """The number of coarse squares, and the (K, 4) rows of the commuting ones in coarse order.
 
-    Keeps what is_commutative keeps, testing a block of coarse rows at a
-    time on stacked arrow maps.
+    A square pairs a left path t s_hat: W -> X -> Z with a right path
+    t_hat s: W -> Y -> Z that ends at the same Z. For each run of
+    consecutive s_hat arrows with one source W, every left path of the
+    run and every right path from W is multiplied once, and the pairs
+    are tested with _commutes on those products, so a row is kept
+    exactly when is_commutative keeps its square. Runs come in s_hat
+    order, so only each run's kept rows need sorting.
     """
-    total, blocks = _coarse_rows(side_h, side_v, max_squares)
+    total, h, v, n, _ = _coarse_count(side_h, side_v, max_squares)
     maps_h, maps_v = side_h.stack.maps, side_v.stack.maps
-    kept = [rows[_commuting(maps_h, maps_v, rows, tolerance)] for rows in blocks]
-    return total, np.concatenate(kept) if kept else np.empty((0, 4), dtype=np.intp)
+    by_source = key_groups(h[:, 0], n), key_groups(v[:, 0], n)
+    runs = []  # (first s_hat, last s_hat + 1, kept left paths, kept right paths)
+    first = 0
+    for _, run in itertools.groupby(v[:, 0].tolist()):
+        last = first + len(list(run))
+        s_hat, t, s, t_hat = _paths(h, v, by_source, first, last)
+        left, right = maps_h[t] @ maps_v[s_hat], maps_v[t_hat] @ maps_h[s]
+        l, r = _commuting_pairs(left, right, h[t, 1], v[t_hat, 1], n, tolerance)
+        if len(l):
+            runs.append((first, last, l, r))
+        first = last
+    # Each run keeps two index arrays, and the (K, 4) rows are built once,
+    # in the result, so the heap peak is about 1.5 times the result.
+    rows = np.empty((sum(len(l) for *_, l, _ in runs), 4), dtype=np.intp)
+    at = 0
+    for first, last, l, r in runs:
+        s_hat, t, s, t_hat = _paths(h, v, by_source, first, last)
+        # Pairs were kept in (s_hat, t, s, t_hat) order; a stable sort on
+        # (s_hat, s) gives coarse order (s_hat, s, t, t_hat).
+        order = np.argsort(s_hat[l] * len(maps_h) + s[r], kind="stable")
+        l, r = l[order], r[order]
+        np.stack([s[r], t[l], s_hat[l], t_hat[r]], axis=1, out=rows[at:at + len(l)])
+        at += len(l)
+    return total, rows
+
+
+def _paths(h, v, by_source, first, last):
+    """Arrow indices (s_hat, t, s, t_hat) of a run's paths.
+
+    (s_hat, t) are the left paths of the s_hat arrows first..last-1, which
+    share one source w, s_hat-major; (s, t_hat) are the right paths from
+    w, s-major.
+    """
+    by_source_h, by_source_v = by_source
+    row, t = join_groups(v[first:last, 1], by_source_h)
+    order, starts, sizes = by_source_h
+    w = v[first, 0]
+    s_w = order[starts[w]:starts[w] + sizes[w]]
+    row_r, t_hat = join_groups(h[s_w, 1], by_source_v)
+    return row + first, t, s_w[row_r], t_hat
+
+
+def _commuting_pairs(left, right, z_left, z_right, n, tolerance):
+    """The (left, right) path pairs with one end corner that commute, left-path-major.
+
+    Pairs are taken as many left paths at a time as give at most
+    SQUARE_BLOCK pairs (and at least one left path), and tested at most
+    SQUARE_BLOCK at a time.
+    """
+    scale = _scale(left)
+    by_corner = key_groups(z_right, n)
+    ends = np.cumsum(by_corner[2][z_left]).tolist()  # pairs up to each left path
+    ls, rs = [], []
+    start = 0
+    while start < len(z_left):
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, bisect.bisect_right(ends, done + SQUARE_BLOCK))
+        row, r = join_groups(z_left[start:stop], by_corner)
+        row += start
+        for block in range(0, len(row), SQUARE_BLOCK):
+            l_b, r_b = row[block:block + SQUARE_BLOCK], r[block:block + SQUARE_BLOCK]
+            hits = np.flatnonzero(_commutes(left[l_b], right[r_b], scale[l_b], tolerance))
+            ls.append(l_b[hits])
+            rs.append(r_b[hits])
+        start = stop
+    if not ls:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    return np.concatenate(ls), np.concatenate(rs)
 
 
 class MaterialDoubleGroupoid:

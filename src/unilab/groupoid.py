@@ -377,13 +377,21 @@ def pair_groupoid(base: PointSet) -> FiniteGroupoid:
 
 def from_point_frames(base: PointSet, frames: Mapping[PointId, Mat3],
                       tolerance: float = DEFAULT_ARROW_TOL) -> FiniteGroupoid:
-    """Material groupoid of a frame sample: arrow X -> Y has map P(Y) P(X)^-1."""
-    mats = {pid: as_mat3(frames[pid]) for pid in base.ids}
-    inv = {pid: invert(m) for pid, m in mats.items()}
-    arrows = [
-        Arrow(f"{x}->{y}", x, y, mats[y] @ inv[x])
-        for x, y in itertools.product(base.ids, repeat=2)
-    ]
+    """Material groupoid of a frame sample: arrow X -> Y has map P(Y) P(X)^-1.
+
+    A singular frame raises invert's error, the first in base order.
+    Stacked det, inv and @ compute each matrix as the single-matrix calls
+    do, so every map is the one P(Y) @ invert(P(X)) gives.
+    """
+    ids = base.ids
+    p = np.array([as_mat3(frames[pid]) for pid in ids]).reshape(-1, 3, 3)
+    singular = first_true(is_singular(p))
+    if singular >= 0:
+        invert(p[singular])  # raises
+    # maps[x, y] = P(y) @ inv(P(x)), in the arrow order x-major.
+    maps = (p[None] @ np.linalg.inv(p)[:, None]).reshape(-1, 3, 3)
+    pairs = itertools.product(ids, repeat=2)
+    arrows = [Arrow(f"{x}->{y}", x, y, m) for (x, y), m in zip(pairs, maps)]
     return FiniteGroupoid(base, arrows, tolerance)
 
 

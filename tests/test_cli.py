@@ -370,6 +370,23 @@ class TestValidation:
         assert not out.exists()
         assert capsys.readouterr().out == f"{expected}\n{expected}\n"
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_domain_extent_must_be_finite(self, tmp_path, command):
+        config = json.loads(GOOD[2].read_text())
+        config["domain"].update(lower=[-1e308, 0.1, 0.1], upper=[1e308, 1.0, 1e308])
+        path = tmp_path / "huge_box.json"
+        path.write_text(json.dumps(config))
+        expected = ["domain.upper[0]: extent 1e+308 - -1e+308 is not a finite number"]
+        assert validate_config(path) == expected
+        out = tmp_path / "report.json"
+        args = [command, "--config", str(path)] + (["--out", str(out)] if command == "run" else [])
+        done = subprocess.run(
+            [sys.executable, "-m", "unilab.cli", *args], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, f"{expected[0]}\n", "")
+        assert not out.exists()
+
 
 class TestOnePass:
     """`run` reads, parses and compiles the config once, in validation."""

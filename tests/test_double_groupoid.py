@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_oracles
 from unilab.cli import main
@@ -683,6 +685,77 @@ class TestCommutingSquares:
         for pair in ((empty, empty), (empty, side), (side, empty)):
             assert coarse_enumerate(*pair) == []
             assert commuting_squares(*pair) == (0, [])
+
+
+# Angles from a small pool, so that z-rotation frames often give squares
+# that commute up to rounding, next to ones that do not.
+ANGLES = st.sampled_from([0.0, 30.0, 45.0, 90.0, 135.0])
+TOLERANCE_EDGE = st.sampled_from(["default", "at", "below"])
+
+
+@st.composite
+def shuffled_frame_sides(draw):
+    """Frame-built sides on 1-4 points, each with its arrows in a drawn order."""
+    n = draw(st.integers(1, 4))
+    base = PointSet.from_pairs([(f"p{i}", [float(i), 0.0, 0.0]) for i in range(n)])
+    frames_h = {pid: rot_z(draw(ANGLES)) @ rot_x(draw(ANGLES)) for pid in base.ids}
+    if draw(st.booleans()):
+        constant = rot_y(draw(ANGLES)) + np.diag([0.0, 0.5, 0.0])
+        frames_v = {pid: frame @ constant for pid, frame in frames_h.items()}
+    else:
+        frames_v = {pid: rot_z(draw(ANGLES)) @ rot_x(draw(ANGLES)) for pid in base.ids}
+
+    def side(frames):
+        arrows = draw(st.permutations(from_point_frames(base, frames).arrows))
+        return FiniteGroupoid(base, arrows, check=False)
+
+    return side(frames_h), side(frames_v)
+
+
+@st.composite
+def explicit_sides(draw):
+    """Arrow sets on 1-3 points with repeated and missing endpoint pairs."""
+    ids = ["A", "B", "C"][:draw(st.integers(1, 3))]
+    base = PointSet.from_pairs([(pid, [float(i), 0.0, 0.0]) for i, pid in enumerate(ids)])
+    maps = [np.eye(3), rot_z(90), rot_z(45), rot_x(30), np.diag([1.0, 2.0, 0.5])]
+
+    def side(prefix):
+        specs = draw(st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.integers(0, len(maps) - 1)),
+            max_size=10,
+        ))
+        arrows = [Arrow(f"{prefix}{k}", a, b, maps[m]) for k, (a, b, m) in enumerate(specs)]
+        return FiniteGroupoid(base, arrows, check=False)
+
+    return side("h"), side("v")
+
+
+class TestCommutingRowsProperty:
+    """commuting_rows keeps what the enumerate-all filter keeps, row for row and in order."""
+
+    @staticmethod
+    def check(side_h, side_v, edge, pick):
+        coarse = coarse_enumerate(side_h, side_v)
+        tolerance = DEFAULT_COMMUTATION_TOL
+        if edge != "default" and coarse:
+            # A tolerance exactly at some square's defect, or one step below it.
+            tolerance = commutation_defect(coarse[pick % len(coarse)])
+            if edge == "below":
+                tolerance = np.nextafter(tolerance, 0.0)
+        expected = [sq for sq in coarse if is_commutative(sq, tolerance)]
+        n_coarse, got = commuting_squares(side_h, side_v, tolerance)
+        assert n_coarse == len(coarse)
+        assert_same_squares(got, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_frame_sides(), TOLERANCE_EDGE, st.integers(0, 10 ** 6))
+    def test_frame_built_sides_in_any_arrow_order(self, sides, edge, pick):
+        self.check(*sides, edge, pick)
+
+    @settings(max_examples=150, deadline=None)
+    @given(explicit_sides(), TOLERANCE_EDGE, st.integers(0, 10 ** 6))
+    def test_explicit_arrow_sets(self, sides, edge, pick):
+        self.check(*sides, edge, pick)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import scalar_oracles
 
-from unilab.errors import NotComposableError, UnilabError
+from unilab.errors import NotComposableError, SingularMatrixError, UnilabError
 from unilab.fields import AnalyticFrameField
 from unilab.groupoid import (
     Arrow,
@@ -31,6 +31,7 @@ from unilab.groupoid import (
     unit_pair_arrow,
     vertex_group,
 )
+from unilab.linalg3 import invert
 
 POINTS = PointSet.from_pairs(
     [("A", [0.0, 0.0, 0.0]), ("B", [1.0, 0.0, 0.0]), ("C", [0.0, 1.0, 0.0])]
@@ -209,6 +210,33 @@ class TestFromFrames:
         with pytest.raises(type(expected)) as info:
             from_frame_field(field, base)
         assert str(info.value) == str(expected)
+
+    def test_stacked_maps_are_the_per_arrow_products(self):
+        rng = np.random.default_rng(11)
+        base = PointSet.from_pairs([(f"p{i}", [float(i), 0.0, 0.0]) for i in range(6)])
+        # Rotations, a random frame and a badly scaled one.
+        frames = {pid: rot_z(float(rng.uniform(0, 360))) for pid in base.ids}
+        frames["p2"] = rng.normal(size=(3, 3))
+        frames["p4"] = np.diag([1.0, 0.1, 10.0]) + 1e-6 * rng.normal(size=(3, 3))
+        g = from_point_frames(base, frames, tolerance=1e-6)
+        pairs = list(itertools.product(base.ids, repeat=2))
+        assert [(a.id, a.source, a.target) for a in g.arrows] == [
+            (f"{x}->{y}", x, y) for x, y in pairs
+        ]
+        for a, (x, y) in zip(g.arrows, pairs):
+            assert np.array_equal(a.map, frames[y] @ invert(frames[x]))
+
+    @pytest.mark.parametrize("singular", [["B"], ["C"], ["B", "C"]], ids="-".join)
+    def test_singular_frame_raises_inverts_error(self, singular):
+        frames = self.frames()
+        for k, pid in enumerate(singular):
+            # Determinants below the guard that tell the two frames apart.
+            frames[pid] = np.diag([1.0, (k + 1) * 1e-14, 1.0])
+        with pytest.raises(SingularMatrixError) as expected:
+            invert(frames[singular[0]])
+        with pytest.raises(SingularMatrixError) as info:
+            from_point_frames(POINTS, frames)
+        assert str(info.value) == str(expected.value)
 
     def test_composition_is_closed(self):
         g = from_point_frames(POINTS, self.frames())
