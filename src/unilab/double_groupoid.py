@@ -23,7 +23,6 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -51,12 +50,12 @@ from .groupoid import (
     maps_close,
     unit_arrow,
 )
-from .linalg3 import Mat3, as_mat3, invert, is_singular, singular_tolerance
+from .linalg3 import Mat3, as_mat3, invert, is_singular
 
 DEFAULT_COMMUTATION_TOL = 1e-9
 DEFAULT_SQUARE_CAP = 200_000
-# Rows per block of the coarse enumeration: bounds its index arrays and
-# the (K, 3, 3) stacks of the commutation test.
+# Rows per block of the commutation test: bounds its index arrays and
+# (K, 3, 3) stacks.
 SQUARE_BLOCK = 512
 
 
@@ -222,78 +221,28 @@ def transpose(sq: Square) -> Square:
 # ---------------------------------------------------------------------------
 
 
-def _join(columns: list[np.ndarray], keys: np.ndarray, groups) -> list[np.ndarray]:
-    """Extend each row by every arrow of its key's group, in arrow order.
-
-    columns hold one arrow index per row and keys[r] is the group row r
-    joins. Rows keep their order, so the result is a nested loop's order.
-    """
-    row, arrow = join_groups(keys, groups)
-    return [c[row] for c in columns] + [arrow]
-
-
 def _coarse_count(side_h: FiniteGroupoid, side_v: FiniteGroupoid, max_squares: int):
-    """(total, h, v, n, per_s_hat): the number of coarse squares, each side's
-    (source, target) point numbers per arrow, the number of points, and
-    how many squares each s_hat arrow heads.
+    """(total, h, v, n): the number of coarse squares, each side's
+    (source, target) point-number arrays, and the number of points.
 
-    The count comes from the arrow counts between point pairs, so a cap
-    it exceeds raises before any square is looked at.
+    Points are numbered as side_h's stack numbers them, then side_v's
+    other points in its stack's order. The count comes from the arrow
+    counts between point pairs, so a cap it exceeds raises before any
+    square is looked at.
     """
-    points: dict[PointId, int] = {}
-
-    def endpoints(g: FiniteGroupoid) -> np.ndarray:
-        ends = [
-            (points.setdefault(a.source, len(points)), points.setdefault(a.target, len(points)))
-            for a in g.arrows
-        ]
-        return np.array(ends, dtype=np.intp).reshape(-1, 2)
-
-    h, v = endpoints(side_h), endpoints(side_v)
-    n = len(points)
-    counts_h = np.bincount(h[:, 0] * n + h[:, 1], minlength=n * n).reshape(n, n)
-    counts_v = np.bincount(v[:, 0] * n + v[:, 1], minlength=n * n).reshape(n, n)
+    stack_h, stack_v = side_h.stack, side_v.stack
+    index = dict(stack_h.index)
+    renumber = np.array([index.setdefault(pid, len(index)) for pid in stack_v.index], dtype=np.intp)
+    n = len(index)
+    h = stack_h.source, stack_h.target
+    v = renumber[stack_v.source], renumber[stack_v.target]
+    counts_h = np.bincount(h[0] * n + h[1], minlength=n * n).reshape(n, n)
+    counts_v = np.bincount(v[0] * n + v[1], minlength=n * n).reshape(n, n)
     # An arrow s_hat: a -> b heads (counts_h @ counts_v @ counts_h.T)[a, b] squares.
-    per_s_hat = (counts_h @ counts_v @ counts_h.T)[v[:, 0], v[:, 1]]
-    total = int(per_s_hat.sum())
+    total = int((counts_h @ counts_v @ counts_h.T)[v[0], v[1]].sum())
     if total > max_squares:
         raise SizeLimitError(f"coarse enumeration exceeds the cap of {max_squares} squares")
-    return total, h, v, n, per_s_hat
-
-
-def _coarse_rows(
-    side_h: FiniteGroupoid, side_v: FiniteGroupoid, max_squares: int
-) -> tuple[int, Iterator[np.ndarray]]:
-    """The number of coarse squares, and the squares as blocks of arrow-index rows.
-
-    A row is (s, t, s_hat, t_hat): s and t index side_h.arrows, s_hat and
-    t_hat side_v.arrows. The rows run in coarse_enumerate's order, s_hat
-    outermost, then s, t, t_hat, in blocks of at most SQUARE_BLOCK
-    rows.
-    """
-    total, h, v, n, per_s_hat = _coarse_count(side_h, side_v, max_squares)
-    return total, _row_blocks(h, v, n, per_s_hat.tolist())
-
-
-def _row_blocks(h: np.ndarray, v: np.ndarray, n: int, per_s_hat: list[int]) -> Iterator[np.ndarray]:
-    by_source_h = key_groups(h[:, 0], n)
-    by_pair_v = key_groups(v[:, 0] * n + v[:, 1], n * n)
-    start = 0
-    while start < len(v):
-        # As many s_hat arrows as fit in one block, and at least one.
-        stop, size = start + 1, per_s_hat[start]
-        while stop < len(v) and size + per_s_hat[stop] <= SQUARE_BLOCK:
-            size += per_s_hat[stop]
-            stop += 1
-        columns = [np.arange(start, stop)]                              # s_hat: W -> X
-        columns = _join(columns, v[columns[0], 0], by_source_h)         # s: W -> Y
-        columns = _join(columns, v[columns[0], 1], by_source_h)         # t: X -> Z
-        corners = h[columns[1], 1] * n + h[columns[2], 1]
-        s_hat, s, t, t_hat = _join(columns, corners, by_pair_v)         # t_hat: Y -> Z
-        rows = np.stack([s, t, s_hat, t_hat], axis=1)
-        for first in range(0, len(rows), SQUARE_BLOCK):
-            yield rows[first:first + SQUARE_BLOCK]
-        start = stop
+    return total, h, v, n
 
 
 def _squares_at(h: list[Arrow], v: list[Arrow], rows: np.ndarray) -> list[Square]:
@@ -310,9 +259,24 @@ def coarse_enumerate(
     side_v: FiniteGroupoid,
     max_squares: int = DEFAULT_SQUARE_CAP,
 ) -> list[Square]:
-    """All endpoint-consistent squares over the two side groupoids."""
-    _, blocks = _coarse_rows(side_h, side_v, max_squares)
-    return [sq for rows in blocks for sq in _squares_at(side_h.arrows, side_v.arrows, rows)]
+    """All endpoint-consistent squares over the two side groupoids.
+
+    A plain nested loop, each side in arrow order: s_hat, then s from its
+    source and t from its target, then t_hat from s's target to t's. It
+    is the oracle of commuting_rows and shares none of its array code.
+    """
+    _coarse_count(side_h, side_v, max_squares)  # raises past the cap
+    from_h: dict[PointId, list[Arrow]] = {}
+    for a in side_h.arrows:
+        from_h.setdefault(a.source, []).append(a)
+    return [
+        Square(W=s_hat.source, X=s_hat.target, Y=s.target, Z=t.target,
+               s=s, t=t, s_hat=s_hat, t_hat=t_hat)
+        for s_hat in side_v.arrows
+        for s in from_h.get(s_hat.source, [])
+        for t in from_h.get(s_hat.target, [])
+        for t_hat in side_v.between(s.target, t.target)
+    ]
 
 
 def _scale(left: np.ndarray) -> np.ndarray:
@@ -360,16 +324,16 @@ def commuting_rows(
     exactly when is_commutative keeps its square. Runs come in s_hat
     order, so only each run's kept rows need sorting.
     """
-    total, h, v, n, _ = _coarse_count(side_h, side_v, max_squares)
+    total, h, v, n = _coarse_count(side_h, side_v, max_squares)
     maps_h, maps_v = side_h.stack.maps, side_v.stack.maps
-    by_source = key_groups(h[:, 0], n), key_groups(v[:, 0], n)
+    by_source = key_groups(h[0], n), key_groups(v[0], n)
     runs = []  # (first s_hat, last s_hat + 1, kept left paths, kept right paths)
     first = 0
-    for _, run in itertools.groupby(v[:, 0].tolist()):
+    for _, run in itertools.groupby(v[0].tolist()):
         last = first + len(list(run))
         s_hat, t, s, t_hat = _paths(h, v, by_source, first, last)
         left, right = maps_h[t] @ maps_v[s_hat], maps_v[t_hat] @ maps_h[s]
-        l, r = _commuting_pairs(left, right, h[t, 1], v[t_hat, 1], n, tolerance)
+        l, r = _commuting_pairs(left, right, h[1][t], v[1][t_hat], n, tolerance)
         if len(l):
             runs.append((first, last, l, r))
         first = last
@@ -396,11 +360,11 @@ def _paths(h, v, by_source, first, last):
     w, s-major.
     """
     by_source_h, by_source_v = by_source
-    row, t = join_groups(v[first:last, 1], by_source_h)
+    row, t = join_groups(v[1][first:last], by_source_h)
     order, starts, sizes = by_source_h
-    w = v[first, 0]
+    w = v[0][first]
     s_w = order[starts[w]:starts[w] + sizes[w]]
-    row_r, t_hat = join_groups(h[s_w, 1], by_source_v)
+    row_r, t_hat = join_groups(h[1][s_w], by_source_v)
     return row + first, t, s_w[row_r], t_hat
 
 
@@ -657,7 +621,7 @@ class Misalignments:
     def __init__(self, dg: MaterialDoubleGroupoid):
         self._dg = dg
         table_h, table_v = dg.stacks
-        self._index = {pid: i for i, pid in enumerate(dg.side_h.base.ids)}
+        self._index = table_h.index
         self._n = n = table_h.n_points
         u, unique_h = _unique_arrows(table_h, len(dg.side_h.arrows), n)
         u_star, unique_v = _unique_arrows(table_v, len(dg.side_v.arrows), n)
@@ -741,7 +705,7 @@ def apply_config_change(
         if pid not in jacobians:
             raise SingularJacobianError(f"missing Jacobian for point {pid!r}")
         h = as_mat3(jacobians[pid])
-        if abs(float(np.linalg.det(h))) <= singular_tolerance(h):
+        if is_singular(h):
             raise SingularJacobianError(f"Jacobian at point {pid!r} is singular")
         jac[pid] = h
     jac_inv = {pid: invert(h) for pid, h in jac.items()}

@@ -516,7 +516,8 @@ class ExpressionStack:
                 for k, column in enumerate(self._array_fn(*points.T)):
                     values[:, k] = column
             # A row sum is non-finite when any entry is (or, harmlessly, overflows).
-            suspects = np.flatnonzero(~np.isfinite(values.sum(axis=1))).tolist()
+            with np.errstate(over="ignore"):
+                suspects = np.flatnonzero(~np.isfinite(values.sum(axis=1))).tolist()
         except ArithmeticError:
             suspects = range(n)
         failures = {}

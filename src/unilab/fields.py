@@ -41,7 +41,7 @@ from .linalg3 import (
     as_vec3,
     at_point,
     fill_rows,
-    singular_tolerance,
+    is_singular,
 )
 
 
@@ -103,10 +103,7 @@ _IDENTITY = np.eye(3)
 def _guard_frames(frames: np.ndarray, points: np.ndarray, failures: dict) -> np.ndarray:
     """Record singular frames as failures; put the identity at every failing node."""
     fill_rows(frames, failures, _IDENTITY)
-    # A scale whose cube overflows gives an infinite guard: singular.
-    with np.errstate(over="ignore"):
-        tolerance = singular_tolerance(frames)
-    singular = np.flatnonzero(np.abs(np.linalg.det(frames)) <= tolerance).tolist()
+    singular = np.flatnonzero(is_singular(frames)).tolist()
     for node in singular:
         failures[node] = _singular_frame(points[node])
     return fill_rows(frames, singular, _IDENTITY)

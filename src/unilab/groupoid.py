@@ -171,6 +171,11 @@ class ArrowStack:
             self.maps2[self.paired] = [a.map2 for a in arrows if a.map2 is not None]
 
     @property
+    def index(self) -> dict[PointId, int]:
+        """The numbering: each point id to its number, in number order."""
+        return self._index
+
+    @property
     def n_points(self) -> int:
         return len(self._index)
 

@@ -79,17 +79,24 @@ def singular_tolerance(m):
     return 1e-12 * (scale * scale * scale)
 
 
+def _guarded_det(m):
+    """det(m) and |det| <= singular_tolerance(m), quietly: an overflowing guard means singular."""
+    with np.errstate(over="ignore"):
+        det = np.linalg.det(m)
+        return det, np.abs(det) <= singular_tolerance(m)
+
+
 def is_singular(m):
     """invert's singularity test, on one matrix or on a stack of them."""
-    return np.abs(np.linalg.det(m)) <= singular_tolerance(m)
+    return _guarded_det(m)[1]
 
 
 def invert(m: Mat3) -> Mat3:
     """Inverse of a 3x3 matrix, guarded by ``singular_tolerance``."""
     m = as_mat3(m)
-    det = float(np.linalg.det(m))
-    if abs(det) <= singular_tolerance(m):
-        raise SingularMatrixError(f"determinant {det:.3e} below singularity guard")
+    det, singular = _guarded_det(m)
+    if singular:
+        raise SingularMatrixError(f"determinant {float(det):.3e} below singularity guard")
     return np.linalg.inv(m)
 
 

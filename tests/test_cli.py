@@ -1,11 +1,14 @@
 """Config validation, report generation, determinism, and exit codes."""
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -682,6 +685,101 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ok"
+
+
+def with_component1(path, component1, **keys):
+    """The config at path with component 1 replaced (and top-level keys, as config_with)."""
+    config = config_with(path, **keys)
+    config["composite"]["component1"] = component1
+    return config
+
+
+HUGE_DIAGONAL = [["1e200", "0", "0"], ["0", "1e200", "0"], ["0", "0", "1"]]
+HUGE_ROW = [["1e308", "1e308", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+EXP_DIAGONAL = [["exp(230*x1)", "0", "0"], ["0", "exp(230*x1)", "0"], ["0", "0", "exp(230*x1)"]]
+ALONG_X1 = [{"id": pid, "coords": [x1, 0.0, 0.0]} for pid, x1 in (("A", -1.0), ("B", 0.0), ("C", 1.0))]
+SINGULAR_AT_W = {task: "frame is singular at [0.0, 0.0, 0.0]" for task in ("squares", "misalign")}
+SINGULAR_LATTICE = {
+    "foliate": "343 of 343 lattice nodes failed during the foliation scan",
+    "infinitesimal": "frame is singular at [0.1, 0.1, 0.1]",
+}
+QUIET_FAILURES = {
+    "huge-diagonal-points": (with_component1(GOOD[1], HUGE_DIAGONAL), SINGULAR_AT_W),
+    "huge-diagonal-lattice": (with_component1(GOOD[2], HUGE_DIAGONAL), SINGULAR_LATTICE),
+    "huge-row-points": (with_component1(GOOD[1], HUGE_ROW), SINGULAR_AT_W),
+    "huge-row-lattice": (with_component1(GOOD[2], HUGE_ROW), SINGULAR_LATTICE),
+    "exp-diagonal-points": (
+        with_component1(GOOD[1], EXP_DIAGONAL, points=ALONG_X1, pairs=[["A", "C"]],
+                        pair_comparisons=[]),
+        {task: "arrow 'A->C' has a singular map" for task in ("squares", "misalign")},
+    ),
+}
+
+
+class TestQuietFailures:
+    """Frames whose determinant, guard or row sum overflows fail in the report, not on stderr."""
+
+    @pytest.mark.parametrize("name", sorted(QUIET_FAILURES))
+    def test_report_and_empty_stderr(self, tmp_path, name):
+        config, expected = QUIET_FAILURES[name]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "report.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "unilab.cli", "run", "--config", str(path), "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "")
+        assert {task: block["error"] for task, block in json.loads(out.read_text())["tasks"].items()} \
+            == expected
+
+
+HOSTILE_NUMBERS = [1e308, -1e308, 1e-300, 0.0, 0.5, 2.0]
+HOSTILE_CELLS = [
+    "1/(x1-x1)", "exp(exp(x1))", "x2^x1", "1e308*x1", "sqrt(x1-1)", "tan(pi/2)", "exp(710)",
+    "x1^-400", *map(repr, HOSTILE_NUMBERS),
+]
+
+
+@st.composite
+def hostile_squares_configs(draw):
+    """rotation_squares.json on 1-5 drawn points, with hostile cells, tolerances and tasks drawn."""
+    config = json.loads(GOOD[1].read_text())
+    ids = [f"p{i}" for i in range(draw(st.integers(1, 5)))]
+    coords = st.lists(st.sampled_from(HOSTILE_NUMBERS), min_size=3, max_size=3)
+    config["points"] = [{"id": pid, "coords": draw(coords)} for pid in ids]
+    config["pairs"] = [[a, b] for a, b in zip(ids, ids[1:] + ids[:1])]
+    del config["pair_comparisons"]
+    cells = st.tuples(st.sampled_from(["component1", "component2"]), st.integers(0, 2),
+                      st.integers(0, 2), st.sampled_from(HOSTILE_CELLS))
+    for component, row, column, cell in draw(st.lists(cells, max_size=4)):
+        config["composite"][component][row][column] = cell
+    tolerances = draw(st.dictionaries(st.sampled_from(["commutation_tol", "group_tol"]),
+                                      st.floats(1e-300, 1e300)))
+    if tolerances:
+        config["tolerances"] = tolerances
+    config["tasks"] = draw(st.sampled_from([["squares"], ["misalign"], ["squares", "misalign"]]))
+    return config
+
+
+class TestQuietSquaresRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(hostile_squares_configs())
+    def test_validating_configs_run_without_warnings(self, tmp_path_factory, config):
+        directory = tmp_path_factory.getbasetemp() / "quiet-squares"
+        directory.mkdir(exist_ok=True)
+        path, out = directory / "config.json", directory / "report.json"
+        path.write_text(json.dumps(config))
+        stderr = io.StringIO()
+        # numpy warns once per code location and process unless told "always".
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            if validate_config(path):
+                return
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code in (0, 2)
+        assert [str(w.message) for w in caught] == []
+        assert stderr.getvalue() == ""
 
 
 def uniform_squares_config(path):

@@ -928,6 +928,52 @@ class TestRowFacts:
         assert len(core(dg).arrows) == 1  # the two unit squares at p00 give one arrow
 
 
+FIVE_IDS = ("A", "B", "C", "D", "E")
+FIVE_FRAMES_H = {pid: rot_z(30 * i) for i, pid in enumerate(FIVE_IDS)}
+FIVE_FRAMES_V = {pid: rot_z(90 * (i % 2)) @ rot_x(30 * (i // 2)) for i, pid in enumerate(FIVE_IDS)}
+
+
+def five_point_facts(order_h, order_v):
+    """A squares run's results on frame-built sides whose bases list the points in the given orders.
+
+    Squares, pairs and misalignments are named by point and arrow ids,
+    so the facts do not depend on how either side numbers its points.
+    """
+    def side(order, frames):
+        base = PointSet.from_pairs((pid, [float(FIVE_IDS.index(pid)), 0.0, 0.0]) for pid in order)
+        return from_point_frames(base, frames)
+
+    side_h, side_v = side(order_h, FIVE_FRAMES_H), side(order_v, FIVE_FRAMES_V)
+    n_coarse, rows = commuting_rows(side_h, side_v)
+    dg = MaterialDoubleGroupoid.from_sides(side_h, side_v)
+    return {
+        "n_coarse": n_coarse,
+        "n_kept": len(rows),
+        "squares": {(sq.W, sq.X, sq.Y, sq.Z, sq.s.id, sq.t.id, sq.s_hat.id, sq.t_hat.id)
+                    for sq in dg.squares},
+        "core": len(core(dg).arrows),
+        "unfillable": {(s.id, s_hat.id) for s, s_hat in filling_check(dg)},
+        "deviation": opposite_pair_max_deviation(dg),
+        "misalignments": {(x, y): misalignment(dg, x, y).tolist()
+                          for x, y in itertools.product(FIVE_IDS, repeat=2)},
+    }
+
+
+class TestPointNumbering:
+    """Sides that list their base points in different orders give the results of one order."""
+
+    @pytest.mark.parametrize(
+        "order_h, order_v",
+        [(FIVE_IDS[::-1], FIVE_IDS[::-1]), (FIVE_IDS, "CAEBD"), (FIVE_IDS[::-1], "CAEBD")],
+        ids=["both-reversed", "vertical-shuffled", "reversed-and-shuffled"],
+    )
+    def test_results_do_not_depend_on_base_order(self, order_h, order_v):
+        expected = five_point_facts(FIVE_IDS, FIVE_IDS)
+        assert (expected["n_coarse"], expected["n_kept"], expected["core"]) == (625, 51, 5)
+        assert len(expected["squares"]) == 51 and len(expected["unfillable"]) == 74
+        assert five_point_facts(tuple(order_h), tuple(order_v)) == expected
+
+
 # sha256 of the squares workload reports at seed 1, as written before the
 # commutation filter ran on stacked arrow maps.
 GOLDEN = {
